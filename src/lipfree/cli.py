@@ -3,7 +3,8 @@
 Exit codes: 0 positive verdict or plain success, 1 negative verdict,
 2 input error (malformed documents, violated preconditions, size caps),
 3 internal certificate mismatch (failed self-verification or oracle
-disagreement). Every certificate is re-verified before printing.
+disagreement) or any other internal fault, so a bug can never read as a
+negative verdict. Every certificate is re-verified before printing.
 """
 
 from __future__ import annotations
@@ -467,6 +468,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except CertificateMismatchError as err:
         print(f"lipfree: certificate mismatch: {err}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except AssertionError as err:
+        print(f"lipfree: internal error: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     except (
         InvalidSpaceError,

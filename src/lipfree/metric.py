@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Sequence
 
@@ -29,6 +30,18 @@ def as_fraction(value, where: str = "value") -> Fraction:
     if isinstance(value, bool) or not isinstance(value, Rational):
         raise InputError(f"{where}: expected an exact rational, got {value!r}")
     return Fraction(value)
+
+
+def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
+    """Common-denominator form ``(den, scaled)`` of a matrix of Fractions.
+
+    ``den`` is the lcm of every entry's denominator and ``scaled[i][j]`` is
+    the integer ``rows[i][j] * den``. Multiplying by a positive constant
+    preserves every sum comparison, so a loop that only adds and compares
+    entries takes the same branches on ``scaled`` as on ``rows``.
+    """
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -134,14 +147,18 @@ def validate_space(
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 violations.append(("asymmetry", (i, j)))
-    # triangle check: endpoints i < k, any intermediate j
+    # triangle check on integers: endpoints i < k, any intermediate j
+    _, scaled = scale_to_integers(m)
+    columns = list(zip(*scaled))
     for i in range(n):
+        row = scaled[i]
         for k in range(i + 1, n):
-            for j in range(n):
-                if j == i or j == k:
-                    continue
-                if m[i][k] > m[i][j] + m[j][k]:
-                    violations.append(("triangle", (i, j, k)))
+            direct = row[k]
+            violations.extend(
+                ("triangle", (i, j, k))
+                for j, (a, b) in enumerate(zip(row, columns[k]))
+                if direct > a + b and j != i and j != k
+            )
 
     ok = not violations
     violations.sort(key=lambda v: (v[1], v[0]))

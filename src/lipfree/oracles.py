@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations.
 
 These enumerative procedures re-derive every decision of the fast paths on
-small instances and back the CLI ``--oracle`` flag. They share no code with
-the algorithms they check: cycles are enumerated explicitly, and the dual
-unit ball is swept through its vertices by propagating signed distances over
-every spanning tree of the complete point graph.
+small instances and back the CLI ``--oracle`` flag. They share no algorithm
+with the procedures they check, only the integer scaling of distances:
+cycles are enumerated explicitly, and the dual unit ball is swept through its
+vertices by propagating signed distances over every spanning tree of the
+complete point graph.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
 from .errors import ResourceLimitError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, scale_to_integers
 from .molecules import BetaMatrix, MoleculeSystem, PointMassElement, to_point_masses
 
 MAX_CYCLE_SIZE = 8
@@ -114,10 +114,7 @@ def _vertex_value_vectors(space: FiniteMetricSpace) -> tuple[tuple[Fraction, ...
     n = len(space)
     if n == 1:
         return ((Fraction(0),),)
-    scale = lcm(*(x.denominator for row in space.dist for x in row))
-    dint = [
-        [int(space.dist[i][j] * scale) for j in range(n)] for i in range(n)
-    ]
+    scale, dint = scale_to_integers(space.dist)
     base = space.base
     found: set[tuple[int, ...]] = set()
     vals: list[int | None] = [None] * n

@@ -4,8 +4,9 @@ A solution exists iff every cycle of the beta matrix has nonnegative arc sum
 (cyclical monotonicity of the underlying pair family), and is unique up to an
 additive constant iff every unordered index pair {j,k} is *rigid*, meaning
 B[j][k] + B[k][j] = 0 where B is the shortest-path closure of beta. Both
-facts are decided here with exact rational arithmetic: Bellman-Ford extracts
-a simple negative cycle when one exists, Floyd-Warshall computes B otherwise.
+facts are decided here exactly, on beta scaled to common-denominator
+integers: Bellman-Ford extracts a simple negative cycle when one exists,
+Floyd-Warshall computes B otherwise.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
-from .metric import FiniteMetricSpace
+from .errors import CertificateMismatchError, InputError
+from .metric import FiniteMetricSpace, scale_to_integers
 from .molecules import BetaMatrix, beta_matrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -65,18 +66,21 @@ def _rotate_min_first(cycle: list[int]) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def _find_negative_cycle(beta: Matrix) -> NegativeCycleWitness | None:
+def _find_negative_cycle(beta: list[list[int]]) -> list[int] | None:
     """Bellman-Ford from a virtual source; predecessor walk yields a simple cycle."""
     n = len(beta)
-    dist = [Fraction(0)] * n
+    dist = [0] * n
     pred: list[int | None] = [None] * n
     touched = None
     for _ in range(n):
         touched = None
         for u in range(n):
+            du = dist[u]
+            row = beta[u]
             for v in range(n):
-                if u != v and dist[u] + beta[u][v] < dist[v]:
-                    dist[v] = dist[u] + beta[u][v]
+                via = du + row[v]
+                if via < dist[v] and u != v:
+                    dist[v] = via
                     pred[v] = u
                     touched = v
         if touched is None:
@@ -93,10 +97,7 @@ def _find_negative_cycle(beta: Matrix) -> NegativeCycleWitness | None:
         seen.append(y)  # type: ignore[arg-type]
         y = pred[y]  # type: ignore[index]
     seen.reverse()  # pred edges point backwards
-    cycle = _rotate_min_first(seen)
-    total = cycle_sum(beta, cycle)
-    assert total < 0, "predecessor walk must produce a negative cycle"
-    return NegativeCycleWitness(cycle=cycle, sum=total)
+    return seen
 
 
 def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycleWitness:
@@ -104,6 +105,9 @@ def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycle
 
     Returns a NegativeCycleWitness when some cycle has negative arc sum, else
     the full table with B computed by an exact Floyd-Warshall triple loop.
+    Both searches run on beta scaled to integers over its common
+    denominator, which takes the same branches as the rational matrix; the
+    witness sum is taken on the rational beta and B is converted back.
     """
     rows = beta.beta
     n = len(rows)
@@ -111,10 +115,16 @@ def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycle
         raise InputError("beta matrix must be nonempty")
     if not (0 <= anchor < n):
         raise InputError("anchor out of range")
-    witness = _find_negative_cycle(rows)
-    if witness is not None:
-        return witness
-    B = [list(row) for row in rows]
+    den, B = scale_to_integers(rows)
+    seen = _find_negative_cycle(B)
+    if seen is not None:
+        cycle = _rotate_min_first(seen)
+        total = cycle_sum(rows, cycle)
+        if total >= 0:
+            raise CertificateMismatchError(
+                "predecessor walk must produce a negative cycle"
+            )
+        return NegativeCycleWitness(cycle=cycle, sum=total)
     for k in range(n):
         Bk = B[k]
         for i in range(n):
@@ -124,18 +134,21 @@ def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycle
                 via = Bik + Bk[j]
                 if via < Bi[j]:
                     Bi[j] = via
-    for j in range(n):
-        assert B[j][j] == 0, "no negative cycles, so closed diagonal is zero"
+    if any(B[j][j] != 0 for j in range(n)):
+        raise CertificateMismatchError(
+            "no negative cycles, so closed diagonal is zero"
+        )
     rigid = frozenset(
         (j, k)
         for j in range(n)
         for k in range(j + 1, n)
         if B[j][k] + B[k][j] == 0
     )
-    alphas = tuple(B[j][anchor] for j in range(n))
+    closed = tuple(tuple(Fraction(x, den) for x in row) for row in B)
+    alphas = tuple(closed[j][anchor] for j in range(n))
     return PotentialTable(
         beta=rows,
-        B=tuple(tuple(row) for row in B),
+        B=closed,
         alphas=alphas,
         anchor=anchor,
         globally_unique=len(rigid) == n * (n - 1) // 2,
@@ -292,8 +305,6 @@ def aligned_and_cross_sums(
 
 def recheck_witness(beta: BetaMatrix, witness: NegativeCycleWitness) -> None:
     """Re-verify a negative-cycle witness from the raw matrix alone."""
-    from .errors import CertificateMismatchError
-
     n = beta.size
     cyc = witness.cycle
     if len(cyc) < 2 or len(set(cyc)) != len(cyc):

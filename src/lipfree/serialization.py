@@ -13,6 +13,7 @@ Document shapes:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -27,25 +28,29 @@ from .norming import LipschitzFunction, PartialFunction, make_function
 from .potentials import NegativeCycleWitness, PotentialTable, aligned_and_cross_sums
 from .transport import TransportCertificate
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def parse_rational(value, where: str = "value") -> Fraction:
-    """Parse an integer or a 'p/q' / 'p' string into an exact Fraction."""
+    """Parse an integer or an ASCII ``-?[0-9]+(/[0-9]+)?`` string into a Fraction.
+
+    Nothing else is accepted: no sign other than a leading minus, no spaces,
+    no digit separators and no non-ASCII digits.
+    """
     if isinstance(value, bool):
         raise InputError(f"{where}: booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        num, sep, den = text.partition("/")
-        try:
-            if not sep:
-                return Fraction(int(num))
-            d = int(den)
-            if d <= 0:
-                raise InputError(f"{where}: denominator must be positive in {value!r}")
-            return Fraction(int(num), d)
-        except ValueError:
-            raise InputError(f"{where}: cannot parse rational {value!r}") from None
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise InputError(f"{where}: cannot parse rational {value!r}")
+        num, den = match.groups()
+        if den is None:
+            return Fraction(int(num))
+        if int(den) == 0:
+            raise InputError(f"{where}: denominator must be positive in {value!r}")
+        return Fraction(int(num), int(den))
     raise InputError(
         f"{where}: rationals must be integers or 'p/q' strings, got {value!r}"
     )

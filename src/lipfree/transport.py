@@ -2,10 +2,10 @@
 
 The norm is the optimal transportation cost between the positive and negative
 parts of the coefficient vector, the base point absorbing the residual mass.
-A successive-shortest-path min-cost flow over the complete point graph with
-exact rational arithmetic yields both the optimal plan and, through its node
-potentials, a 1-Lipschitz dual function realising the same value, so every
-certificate carries a zero duality gap by construction.
+A successive-shortest-path min-cost flow over the complete point graph, run
+exactly on common-denominator integers, yields both the optimal plan and,
+through its node potentials, a 1-Lipschitz dual function realising the same
+value, so every certificate carries a zero duality gap by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateMismatchError
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, scale_to_integers
 from .molecules import MoleculeSystem, PointMassElement, to_point_masses
 from .norming import LipschitzFunction, lipschitz_constant, make_function
 
@@ -39,66 +39,61 @@ def _balances(space: FiniteMetricSpace, element: PointMassElement) -> list[Fract
     return balance
 
 
-def _dijkstra(space, flow, pi, source):
+def _dijkstra(cost, flow, pi, source):
     """Shortest reduced-cost distances in the residual graph from ``source``.
 
     Residual arcs: every forward arc (u,v) at cost d(u,v) (infinite capacity),
     plus the reverse arc of each positive-flow arc at cost -d. The reverse arc
-    is always the cheaper option when present.
+    is always the cheaper option when present. All arguments are integers on
+    one common denominator.
     """
-    n = len(space)
-    INF = None
-    dist: list[Fraction | None] = [INF] * n
+    n = len(cost)
+    dist: list[int | None] = [None] * n
     pred: list[int | None] = [None] * n
-    dist[source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+    dist[source] = 0
+    heap: list[tuple[int, int]] = [(0, source)]
     settled = [False] * n
     while heap:
         du, u = heapq.heappop(heap)
         if settled[u]:
             continue
         settled[u] = True
+        cost_u = cost[u]
+        pi_u = pi[u]
         for v in range(n):
             if v == u or settled[v]:
                 continue
-            if flow.get((v, u), 0) > 0:
-                cost = -space.d(v, u)
-            else:
-                cost = space.d(u, v)
-            rc = cost - pi[u] + pi[v]
-            assert rc >= 0, "reduced costs must stay nonnegative"
+            rc = (-cost[v][u] if flow[v][u] > 0 else cost_u[v]) - pi_u + pi[v]
+            if rc < 0:
+                raise CertificateMismatchError("reduced costs must stay nonnegative")
             cand = du + rc
-            if dist[v] is None or cand < dist[v]:
+            dv = dist[v]
+            if dv is None or cand < dv:
                 dist[v] = cand
                 pred[v] = u
                 heapq.heappush(heap, (cand, v))
     return dist, pred
 
 
-def _push(flow, u, v, amount):
-    rev = flow.get((v, u), Fraction(0))
-    if rev > 0:
-        assert amount <= rev
-        if rev == amount:
-            del flow[(v, u)]
-        else:
-            flow[(v, u)] = rev - amount
-    else:
-        flow[(u, v)] = flow.get((u, v), Fraction(0)) + amount
-
-
 def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
-    """Return (flow dict, potentials) for the given supply/demand vector."""
+    """Return (flow dict, potentials) for the given supply/demand vector.
+
+    Successive shortest paths on integers: costs are the distances and
+    excesses the balances, each scaled by its own common denominator, so
+    every comparison, heap order and tie-break is the one the rational
+    problem would take. Only the results are converted back.
+    """
     n = len(space)
-    excess = list(balance)
-    flow: dict[tuple[int, int], Fraction] = {}
-    pi = [Fraction(0)] * n
+    den, cost = scale_to_integers(space.dist)
+    mass_den, (excess,) = scale_to_integers([balance])
+    flow = [[0] * n for _ in range(n)]
+    pi = [0] * n
     while True:
         sources = [i for i in range(n) if excess[i] > 0]
         if not sources:
             break
         s = sources[0]
-        dist, pred = _dijkstra(space, flow, pi, s)
+        dist, pred = _dijkstra(cost, flow, pi, s)
         sinks = [i for i in range(n) if excess[i] < 0]
         t = min(sinks, key=lambda i: (dist[i], i))
         # walk predecessors to collect the augmenting path s -> t
@@ -111,16 +106,25 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
         arcs.reverse()
         amount = min(excess[s], -excess[t])
         for u, v in arcs:
-            rev = flow.get((v, u), Fraction(0))
-            if rev > 0:
-                amount = min(amount, rev)
-        assert amount > 0
+            if flow[v][u] > 0:
+                amount = min(amount, flow[v][u])
+        if amount <= 0:
+            raise CertificateMismatchError("augmenting amount must be positive")
         for u, v in arcs:
-            _push(flow, u, v, amount)
+            if flow[v][u] > 0:
+                flow[v][u] -= amount
+            else:
+                flow[u][v] += amount
         excess[s] -= amount
         excess[t] += amount
         pi = [pi[i] - dist[i] for i in range(n)]
-    return flow, pi
+    flow_dict = {
+        (u, v): Fraction(x, mass_den)
+        for u, row in enumerate(flow)
+        for v, x in enumerate(row)
+        if x
+    }
+    return flow_dict, [Fraction(p, den) for p in pi]
 
 
 def _decompose(space, flow, balance) -> tuple[PlanLeg, ...]:

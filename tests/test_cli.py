@@ -294,3 +294,41 @@ class TestReports:
         )
         assert first == second
         assert first == dumps_canonical(json.loads(first))
+
+
+class TestInternalFaults:
+    def test_assertion_error_is_exit_three(self, capsys, docs, monkeypatch):
+        def broken_decide(space, system):
+            raise AssertionError("synthetic invariant failure")
+
+        monkeypatch.setattr(cli, "decide", broken_decide)
+        code, out, err = run(
+            capsys, "decide", "--space", docs["tri"], "--system", docs["sys_one"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err
+
+    @pytest.mark.parametrize("eps", ["1_0", "1/0_2", " 7 ", "+3", "٣"])
+    def test_loose_rational_is_exit_two(self, capsys, docs, eps):
+        code, _, err = run(
+            capsys,
+            "gateaux-eps",
+            "--space", docs["tri"],
+            "--system", docs["sys_one"],
+            "--eps", eps,
+        )
+        assert code == 2
+        assert "cannot parse rational" in err
+
+
+def test_public_api_exports_no_submodules():
+    import types
+
+    import lipfree
+
+    assert all(
+        not isinstance(getattr(lipfree, name), types.ModuleType)
+        for name in lipfree.__all__
+    )
+    assert "free_norm" in lipfree.__all__

@@ -1,0 +1,210 @@
+"""Property tests for the loops that run on common-denominator integers.
+
+The triangle scan, the min-cost flow and the beta closure scale their
+rational inputs to integers over one common denominator. Each is compared
+here with a plain-Fraction reference on random matrices whose denominators
+are mixed and go up to 10**6, with negative entries where the input allows
+them.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lipfree import (
+    BetaMatrix,
+    CertificateMismatchError,
+    NegativeCycleWitness,
+    brute_dual_norm,
+    build_space,
+    closure,
+    element_from_coeffs,
+    free_norm,
+    recheck_certificate,
+    validate_space,
+)
+from lipfree.metric import scale_to_integers
+from lipfree.transport import _dijkstra
+
+SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+rationals = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)
+)
+
+
+# ---------------------------------------------------------------- references
+
+
+def reference_negative_cycle(beta):
+    """Bellman-Ford on Fractions from a virtual source, as a simple cycle."""
+    n = len(beta)
+    dist = [Fraction(0)] * n
+    pred = [None] * n
+    touched = None
+    for _ in range(n):
+        touched = None
+        for u in range(n):
+            for v in range(n):
+                if u != v and dist[u] + beta[u][v] < dist[v]:
+                    dist[v] = dist[u] + beta[u][v]
+                    pred[v] = u
+                    touched = v
+        if touched is None:
+            return None
+    x = touched
+    for _ in range(n):
+        x = pred[x]
+    seen = [x]
+    y = pred[x]
+    while y != x:
+        seen.append(y)
+        y = pred[y]
+    seen.reverse()
+    k = seen.index(min(seen))
+    return tuple(seen[k:] + seen[:k])
+
+
+def reference_closure(beta):
+    """Floyd-Warshall on Fractions."""
+    n = len(beta)
+    B = [list(row) for row in beta]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if B[i][k] + B[k][j] < B[i][j]:
+                    B[i][j] = B[i][k] + B[k][j]
+    return tuple(tuple(row) for row in B)
+
+
+def reference_triangles(m):
+    n = len(m)
+    return [
+        ("triangle", (i, j, k))
+        for i in range(n)
+        for k in range(i + 1, n)
+        for j in range(n)
+        if j not in (i, k) and m[i][k] > m[i][j] + m[j][k]
+    ]
+
+
+# ---------------------------------------------------------------- strategies
+
+
+@st.composite
+def beta_matrices(draw):
+    """Zero-diagonal rational matrices, about half of them free of negative cycles.
+
+    The cycle-free half is beta[j][k] = p[k] - p[j] + slack with slack >= 0,
+    so every cycle sums to its slacks; a zero slack makes pairs rigid.
+    """
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        p = draw(st.lists(rationals, min_size=n, max_size=n))
+        slack = st.one_of(st.just(Fraction(0)), rationals.map(abs))
+        return [
+            [Fraction(0) if j == k else p[k] - p[j] + draw(slack) for k in range(n)]
+            for j in range(n)
+        ]
+    return [
+        [Fraction(0) if j == k else draw(rationals) for k in range(n)]
+        for j in range(n)
+    ]
+
+
+@st.composite
+def raw_matrices(draw):
+    """Square rational matrices of either sign, symmetric or not, some with a bad diagonal."""
+    n = draw(st.integers(1, 7))
+    m = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i]
+    for i in range(n):
+        m[i][i] = draw(st.sampled_from([Fraction(0)] * 4 + [Fraction(-1, 3), Fraction(5, 7)]))
+    return m
+
+
+@st.composite
+def spaces_with_elements(draw, max_points):
+    """A metric with distances in [1, 2] and an element with mixed coefficients.
+
+    Any matrix of distances in [1, 2] satisfies the triangle inequality, so
+    the denominators can be drawn freely.
+    """
+    n = draw(st.integers(2, max_points))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = draw(st.integers(1, 10**6))
+            dist[i][j] = dist[j][i] = 1 + Fraction(draw(st.integers(0, q)), q)
+    labels = [str(i) for i in range(n)]
+    space = build_space(labels, dist, "0")
+    support = draw(st.sets(st.integers(1, n - 1), min_size=1))
+    coeffs = {p: draw(rationals.filter(bool)) for p in sorted(support)}
+    return space, element_from_coeffs(space, coeffs)
+
+
+# ---------------------------------------------------------------- properties
+
+
+def test_scale_to_integers():
+    den, rows = scale_to_integers([[Fraction(1, 6), Fraction(-3, 4)], [Fraction(2), Fraction(0)]])
+    assert den == 12
+    assert rows == [[2, -9], [24, 0]]
+
+
+@SETTINGS
+@given(beta_matrices())
+def test_closure_matches_fraction_reference(beta):
+    result = closure(BetaMatrix(beta=beta))
+    cycle = reference_negative_cycle(beta)
+    if cycle is not None:
+        assert isinstance(result, NegativeCycleWitness)
+        assert result.cycle == cycle
+        assert result.sum == sum(
+            beta[cycle[i]][cycle[(i + 1) % len(cycle)]] for i in range(len(cycle))
+        )
+        return
+    B = reference_closure(beta)
+    n = len(beta)
+    assert result.B == B
+    assert result.alphas == tuple(B[j][0] for j in range(n))
+    assert result.rigid_pairs == frozenset(
+        (j, k) for j in range(n) for k in range(j + 1, n) if B[j][k] + B[k][j] == 0
+    )
+
+
+@SETTINGS
+@given(raw_matrices())
+def test_triangle_scan_matches_fraction_reference(m):
+    labels = [str(i) for i in range(len(m))]
+    report = validate_space(labels, m, "0", max_violations=10**6)
+    triangles = [v for v in report.violations if v[0] == "triangle"]
+    assert triangles == sorted(reference_triangles(m), key=lambda v: v[1])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_with_elements(max_points=40))
+def test_free_norm_certificate_rechecks(case):
+    space, element = case
+    recheck_certificate(space, element, free_norm(space, element))
+
+
+@SETTINGS
+@given(spaces_with_elements(max_points=6))
+def test_free_norm_matches_vertex_sweep(case):
+    space, element = case
+    assert free_norm(space, element).value == brute_dual_norm(space, element)
+
+
+def test_negative_reduced_cost_is_a_certificate_mismatch():
+    cost = [[0, 1], [1, 0]]
+    flow = [[0, 0], [0, 0]]
+    with pytest.raises(CertificateMismatchError):
+        _dijkstra(cost, flow, [0, -5], 0)

@@ -125,3 +125,11 @@ class TestCanonicalDump:
         assert dumps_canonical(space_to_doc(space)) == dumps_canonical(
             space_to_doc(space)
         )
+
+
+@pytest.mark.parametrize(
+    "loose", ["1_0", "1/0_2", " 7 ", "+3", "٣", "7\n", "1/ 2", "-", "/2", "1/", ""]
+)
+def test_parse_rejects_loose_syntax(loose):
+    with pytest.raises(InputError):
+        parse_rational(loose)
