@@ -48,9 +48,10 @@ def parse_rational(value, where: str = "value") -> Fraction:
         num, den = match.groups()
         if den is None:
             return Fraction(int(num))
-        if int(den) == 0:
+        den = int(den)
+        if den == 0:
             raise InputError(f"{where}: denominator must be positive in {value!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(int(num), den)
     raise InputError(
         f"{where}: rationals must be integers or 'p/q' strings, got {value!r}"
     )
