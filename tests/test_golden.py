@@ -55,6 +55,10 @@ CASES = [
     ("potentials-rand16", ["potentials", "--space", "{rand16}", "--system", "{rand16_sys}"], 0),
     ("decide-rand16-frechet", ["decide", "--space", "{rand16}", "--system", "{rand16_sys}"], 0),
     ("decide-rand32-uncovered", ["decide", "--space", "{rand32}", "--system", "{rand32_sys}"], 1),
+    ("gateaux-eps-rand32", ["gateaux-eps", "--space", "{rand32}", "--system", "{rand32_sys}", "--eps", "1/8"], 1),
+    ("coverage-prefix-rand16", ["coverage-prefix", "--space", "{rand16}", "--system", "{rand16_sys}", "--eps", "1"], 0),
+    ("coverage-prefix-rand32", ["coverage-prefix", "--space", "{rand32}", "--system", "{rand32_sys}", "--eps", "1"], 0),
+    ("coverage-prefix-rand32-eighth", ["coverage-prefix", "--space", "{rand32}", "--system", "{rand32_sys}", "--eps", "1/8"], 1),
 ]
 
 
