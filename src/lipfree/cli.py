@@ -51,10 +51,13 @@ from .serialization import (
     dumps_canonical,
     function_to_doc,
     load_element_doc,
+    load_function_doc,
+    load_pairs_doc,
     load_space_doc,
     load_system_doc,
     parse_rational,
     partial_to_doc,
+    read_space_doc,
     render_rational,
     space_to_doc,
     system_to_doc,
@@ -98,10 +101,6 @@ def _load_space(args):
     return load_space_doc(_read_json(args.space), max_points=_max_points())
 
 
-def _parse_eps(text: str):
-    return parse_rational(text, "eps")
-
-
 def _emit(report: dict) -> None:
     sys.stdout.write(dumps_canonical(report))
 
@@ -110,19 +109,7 @@ def _emit(report: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    doc = _read_json(args.space)
-    if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
-        raise InputError("space document needs a 'labels' list")
-    if len(doc["labels"]) > _max_points():
-        raise InputError("space exceeds the point cap")
-    raw = doc.get("dist", [])
-    if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
-        raise InputError("space dist must be a matrix (list of rows)")
-    dist = [
-        [parse_rational(x, f"dist[{i}][{j}]") for j, x in enumerate(row)]
-        for i, row in enumerate(raw)
-    ]
-    report = validate_space(doc["labels"], dist, doc.get("base", ""))
+    report = validate_space(*read_space_doc(_read_json(args.space), _max_points()))
     _emit(
         {
             "ok": report.ok,
@@ -256,10 +243,11 @@ def cmd_norming(args) -> int:
 def cmd_gateaux_eps(args) -> int:
     space = _load_space(args)
     system = load_system_doc(space, _read_json(args.system))
-    report = check_gateaux_eps(space, system, _parse_eps(args.eps))
+    eps = parse_rational(args.eps, "eps")
+    report = check_gateaux_eps(space, system, eps)
     _emit(
         {
-            "eps": render_rational(_parse_eps(args.eps)),
+            "eps": render_rational(eps),
             "cond_i_failures": [list(p) for p in report.cond_i],
             "cond_ii_failures": {
                 space.labels[p]: {
@@ -327,21 +315,15 @@ def cmd_decide(args) -> int:
 def cmd_coverage_prefix(args) -> int:
     space = _load_space(args)
     system = load_system_doc(space, _read_json(args.system))
-    prefix = coverage_eps_prefix(space, system, _parse_eps(args.eps))
-    _emit({"eps": render_rational(_parse_eps(args.eps)), "prefix": prefix})
+    eps = parse_rational(args.eps, "eps")
+    prefix = coverage_eps_prefix(space, system, eps)
+    _emit({"eps": render_rational(eps), "prefix": prefix})
     return EXIT_OK if prefix is not None else EXIT_NEGATIVE
 
 
 def cmd_l1_check(args) -> int:
     space = _load_space(args)
-    doc = _read_json(args.system)
-    if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
-        raise InputError("l1-check needs a document with a 'pairs' list")
-    pairs = []
-    for i, entry in enumerate(doc["pairs"]):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise InputError(f"pair {i} must be a two-element list of labels")
-        pairs.append((space.index(str(entry[0])), space.index(str(entry[1]))))
+    pairs = load_pairs_doc(space, _read_json(args.system))
     verdict = l1_basis_check(space, pairs, max_pairs=args.max_pairs)
     if verdict.isometric:
         _emit({"isometric_l1": True})
@@ -377,11 +359,10 @@ def cmd_stability(args) -> int:
     if args.function is not None:
         if args.eps is None:
             raise InputError("--function requires --eps")
-        from .serialization import load_function_doc
-
         g = load_function_doc(space, _read_json(args.function))
-        verified = verify_stability(space, system, g, _parse_eps(args.eps))
-        report["eps"] = render_rational(_parse_eps(args.eps))
+        eps = parse_rational(args.eps, "eps")
+        verified = verify_stability(space, system, g, eps)
+        report["eps"] = render_rational(eps)
         report["verified"] = verified
         _emit(report)
         return EXIT_OK if verified else EXIT_NEGATIVE

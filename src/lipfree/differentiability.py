@@ -118,6 +118,18 @@ def _table_or_raise(space, pairs) -> PotentialTable:
     return result
 
 
+def _function_slacks(space, partial) -> list[tuple[int, int, Fraction]]:
+    """``(s, t, d(t, s) - (f(t) - f(s)))`` over ordered pairs of distinct points of N.
+
+    In ``(s, t)`` order; it does not depend on the point to cover, so every
+    coverage question about one family reads this one list.
+    """
+    d = space.dist
+    f = partial.values
+    N = partial.domain
+    return [(s, t, d[t][s] - (f[t] - f[s])) for s in N for t in N if s != t]
+
+
 def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
     """Full differentiability decision for a normalized molecule family."""
     if len(space) < 2:
@@ -139,20 +151,11 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
                     kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN((j, k))
                 )
     partial = build_on_N(space, system.pairs, result)
-    f = partial.values
-    N = partial.domain
+    tight = [(s, t) for s, t, slack in _function_slacks(space, partial) if slack == 0]
+    d = space.dist
     coverage: dict[int, tuple[int, int]] = {}
     for p in space.points():
-        hit = None
-        for s in N:
-            for t in N:
-                if s == t or f[t] - f[s] != space.d(t, s):
-                    continue
-                if space.d(s, p) + space.d(t, p) == space.d(s, t):
-                    hit = (s, t)
-                    break
-            if hit:
-                break
+        hit = next(((s, t) for s, t in tight if d[s][p] + d[t][p] == d[s][t]), None)
         if hit is None:
             return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(p))
         coverage[p] = hit
@@ -178,29 +181,18 @@ def check_gateaux_eps(
         for k in range(j + 1, n)
         if table.B[j][k] + table.B[k][j] >= eps
     )
-    partial = build_on_N(space, system.pairs, table)
-    f = partial.values
-    N = partial.domain
+    slacks = _function_slacks(space, build_on_N(space, system.pairs, table))
+    d = space.dist
     cond_ii: dict[int, tuple[int, int, Fraction]] = {}
     for p in space.points():
         best: tuple[Fraction, int, int] | None = None
-        covered = False
-        for s in N:
-            for t in N:
-                if s == t:
-                    continue
-                seg_excess = space.d(s, p) + space.d(t, p) - space.d(s, t)
-                fun_slack = space.d(t, s) - (f[t] - f[s])
-                slack = max(seg_excess, fun_slack)
-                if slack < eps:
-                    covered = True
-                    break
-                if best is None or (slack, s, t) < best:
-                    best = (slack, s, t)
-            if covered:
+        for s, t, fun_slack in slacks:
+            slack = max(d[s][p] + d[t][p] - d[s][t], fun_slack)
+            if slack < eps:
                 break
-        if not covered:
-            assert best is not None
+            if best is None or (slack, s, t) < best:
+                best = (slack, s, t)
+        else:
             cond_ii[p] = (best[1], best[2], best[0])
     return GateauxEpsReport(cond_i=cond_i, cond_ii=cond_ii)
 
@@ -214,21 +206,11 @@ def min_coverage_slack(
     the point in the cond_ii failure set of check_gateaux_eps.
     """
     table = _table_or_raise(space, system.pairs)
-    partial = build_on_N(space, system.pairs, table)
-    f = partial.values
-    N = partial.domain
-    best: Fraction | None = None
-    for s in N:
-        for t in N:
-            if s == t:
-                continue
-            seg_excess = space.d(s, point) + space.d(t, point) - space.d(s, t)
-            fun_slack = space.d(t, s) - (f[t] - f[s])
-            slack = max(seg_excess, fun_slack)
-            if best is None or slack < best:
-                best = slack
-    assert best is not None
-    return best
+    slacks = _function_slacks(space, build_on_N(space, system.pairs, table))
+    d = space.dist
+    return min(
+        max(d[s][point] + d[t][point] - d[s][t], slack) for s, t, slack in slacks
+    )
 
 
 def coverage_eps_prefix(
@@ -238,29 +220,33 @@ def coverage_eps_prefix(
 
     Only pairs (s, t) of prefix points with f(s) - f(t) > d(s, t) - eps count;
     None when even the full list fails to cover.
+
+    Pair (s, t) is usable from prefix max(first(s), first(t)), first(x) being
+    the 1-based index of the first pair containing x. The condition on f is
+    the slack of (t, s) being below eps, and the segment test is symmetric.
     """
     eps = as_fraction(eps, "eps")
     if eps <= 0:
         raise InputError("eps must be positive")
     table = _table_or_raise(space, system.pairs)
-    partial = build_on_N(space, system.pairs, table)
-    f = partial.values
-    for upto in range(1, len(system.pairs) + 1):
-        points_n = sorted({p for pair in system.pairs[:upto] for p in pair})
-        eligible = [
-            (s, t)
-            for s in points_n
-            for t in points_n
-            if s != t and f[s] - f[t] > space.d(s, t) - eps
-        ]
-        def eps_covered(p: int) -> bool:
-            return any(
-                space.d(s, p) + space.d(t, p) < space.d(s, t) + eps
-                for s, t in eligible
-            )
-        if all(eps_covered(p) for p in space.points()):
-            return upto
-    return None
+    slacks = _function_slacks(space, build_on_N(space, system.pairs, table))
+    first: dict[int, int] = {}
+    for upto, pair in enumerate(system.pairs, 1):
+        for x in pair:
+            first.setdefault(x, upto)
+    usable = sorted(
+        (max(first[s], first[t]), s, t) for s, t, slack in slacks if slack < eps
+    )
+    d = space.dist
+    needed = 0
+    for p in space.points():
+        upto = next(
+            (u for u, s, t in usable if d[s][p] + d[t][p] < d[s][t] + eps), None
+        )
+        if upto is None:
+            return None
+        needed = max(needed, upto)
+    return needed
 
 
 def l1_basis_check(
@@ -381,10 +367,13 @@ def recheck_verdict(
         if table.B[j][k] + table.B[k][j] <= 0:
             raise CertificateMismatchError(f"pair {failure.pair} is actually rigid")
     elif isinstance(failure, Uncovered):
-        table = closure(beta_matrix(space, system.pairs))
-        if isinstance(table, NegativeCycleWitness):
-            raise CertificateMismatchError("coverage claimed on a negative cycle")
-        if min_coverage_slack(space, system, failure.point) == 0:
+        try:
+            slack = min_coverage_slack(space, system, failure.point)
+        except NotAttainingError:
+            raise CertificateMismatchError(
+                "coverage claimed on a negative cycle"
+            ) from None
+        if slack == 0:
             raise CertificateMismatchError(
                 f"point {failure.point} is actually covered"
             )

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .metric import FiniteMetricSpace, as_fraction, build_space
+from .metric import floyd_warshall, scale_to_integers
 
 
 def gen_star(k: int) -> FiniteMetricSpace:
@@ -83,13 +84,9 @@ def repair_to_metric(matrix) -> list[list[Fraction]]:
             if low <= 0:
                 raise InputError("off-diagonal entries must be positive")
             m[i][j] = m[j][i] = low
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                via = m[i][k] + m[k][j]
-                if via < m[i][j]:
-                    m[i][j] = via
-    return m
+    den, scaled = scale_to_integers(m)
+    floyd_warshall(scaled)
+    return [[Fraction(x, den) for x in row] for row in scaled]
 
 
 def _insert_midpoint(dist: list[list[Fraction]], u: int, v: int) -> None:

@@ -44,6 +44,26 @@ def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
+def floyd_warshall(rows: list[list[int]]) -> list[list[int | None]]:
+    """Close a square integer matrix under shortest paths, in place.
+
+    Returns ``via``: a minimal i -> j path is the i -> k path followed by the
+    k -> j path for k = ``via[i][j]``, or the direct arc when it is None; ties
+    keep the direct arc. The caller rules out negative cycles.
+    """
+    n = len(rows)
+    via: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for k, row_k in enumerate(rows):
+        for row_i, via_i in zip(rows, via):
+            ik = row_i[k]
+            for j, kj in enumerate(row_k):
+                cand = ik + kj
+                if cand < row_i[j]:
+                    row_i[j] = cand
+                    via_i[j] = k
+    return via
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of checking a raw labelled distance matrix.
@@ -111,6 +131,13 @@ def validate_space(
     output. Structural problems (non-square matrix, unknown base label,
     non-rational entries) raise InputError instead of being reported.
     """
+    return _validate(labels, dist, base, max_violations)[0]
+
+
+def _validate(
+    labels: Sequence[str], dist: Sequence[Sequence], base: str, max_violations: int
+) -> tuple[ValidationReport, list[list[Fraction]]]:
+    """``validate_space``'s report together with the converted matrix."""
     labels = [str(l) for l in labels]
     n = len(labels)
     if n == 0:
@@ -165,23 +192,24 @@ def validate_space(
     positives = [m[i][j] for i in range(n) for j in range(n) if i != j and m[i][j] > 0]
     theta = min(positives) if positives else None
     diameter = max(x for row in m for x in row) if n else Fraction(0)
-    return ValidationReport(
+    report = ValidationReport(
         ok=ok,
         violations=tuple(violations[:max_violations]),
         theta=theta,
         diameter=diameter,
     )
+    return report, m
 
 
 def build_space(
     labels: Sequence[str], dist: Sequence[Sequence], base: str
 ) -> FiniteMetricSpace:
     """Validate raw data and construct an immutable space; raise on failure."""
-    report = validate_space(labels, dist, base)
+    report, m = _validate(labels, dist, base, 100)
     if not report.ok:
         raise InvalidSpaceError(report)
     labels = tuple(str(l) for l in labels)
-    rows = tuple(tuple(as_fraction(x) for x in row) for row in dist)
+    rows = tuple(tuple(row) for row in m)
     return FiniteMetricSpace(labels=labels, base=labels.index(base), dist=rows)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError
+from .errors import CertificateMismatchError, InputError
 from .metric import FiniteMetricSpace
 from .molecules import MoleculeSystem, Pair
 from .potentials import PotentialTable
@@ -85,9 +85,10 @@ def build_on_N(
 
     def assign(point: int, value: Fraction, what: str):
         old = values.get(point)
-        assert old is None or old == value, (
-            f"conflicting assignments at point {point} ({what}): {old} vs {value}"
-        )
+        if old is not None and old != value:
+            raise CertificateMismatchError(
+                f"conflicting assignments at point {point} ({what}): {old} vs {value}"
+            )
         values[point] = value
 
     for i, (x, y) in enumerate(pairs):
@@ -124,7 +125,8 @@ def extend_upper(
         for x in space.points()
     ]
     out = make_function(space, vals)
-    assert out.lip_constant <= 1
+    if out.lip_constant > 1:
+        raise CertificateMismatchError("a 1-Lipschitz extension has constant <= 1")
     return out
 
 
@@ -140,7 +142,8 @@ def extend_lower(
         for x in space.points()
     ]
     out = make_function(space, vals)
-    assert out.lip_constant <= 1
+    if out.lip_constant > 1:
+        raise CertificateMismatchError("a 1-Lipschitz extension has constant <= 1")
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateMismatchError, InputError
-from .metric import FiniteMetricSpace, scale_to_integers
+from .metric import FiniteMetricSpace, floyd_warshall, scale_to_integers
 from .molecules import BetaMatrix, beta_matrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -125,15 +125,7 @@ def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycle
                 "predecessor walk must produce a negative cycle"
             )
         return NegativeCycleWitness(cycle=cycle, sum=total)
-    for k in range(n):
-        Bk = B[k]
-        for i in range(n):
-            Bik = B[i][k]
-            Bi = B[i]
-            for j in range(n):
-                via = Bik + Bk[j]
-                if via < Bi[j]:
-                    Bi[j] = via
+    floyd_warshall(B)
     if any(B[j][j] != 0 for j in range(n)):
         raise CertificateMismatchError(
             "no negative cycles, so closed diagonal is zero"
@@ -154,24 +146,6 @@ def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycle
         globally_unique=len(rigid) == n * (n - 1) // 2,
         rigid_pairs=rigid,
     )
-
-
-def _min_paths_with_successors(beta: Matrix):
-    """Floyd-Warshall keeping, per (i,j), the first intermediate of one minimal path.
-
-    Ties keep the direct arc, so minimizing paths stay as short as possible.
-    """
-    n = len(beta)
-    B = [list(row) for row in beta]
-    via: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                cand = B[i][k] + B[k][j]
-                if cand < B[i][j]:
-                    B[i][j] = cand
-                    via[i][j] = k
-    return B, via
 
 
 def _reconstruct(via, i: int, j: int) -> list[int]:
@@ -254,18 +228,20 @@ def rigid_chain(table: PotentialTable, j: int, k: int) -> tuple[int, ...] | None
     lo, hi = min(j, k), max(j, k)
     if (lo, hi) not in table.rigid_pairs:
         return None
-    B, via = _min_paths_with_successors(table.beta)
+    _, scaled = scale_to_integers(table.beta)
+    via = floyd_warshall(scaled)
     forward = _reconstruct(via, j, k)
     backward = _reconstruct(via, k, j)
     walk = forward + backward[1:-1]
     walk = _strip_walk(walk, {j, k})
     if len(set(walk)) != len(walk):
-        simple = _simple_zero_cycle(table.beta, tuple(tuple(r) for r in B), j, k)
+        simple = _simple_zero_cycle(table.beta, table.B, j, k)
         if simple is not None:
             walk = simple
     lead = walk.index(j)
     chain = tuple(walk[lead:] + walk[:lead])
-    assert cycle_sum(table.beta, chain) == 0
+    if cycle_sum(table.beta, chain) != 0:
+        raise CertificateMismatchError("rigidity chain must have zero arc sum")
     return chain
 
 

@@ -20,6 +20,7 @@ from .errors import InputError
 from .metric import FiniteMetricSpace, build_space
 from .molecules import (
     MoleculeSystem,
+    Pair,
     PointMassElement,
     build_system,
     element_from_coeffs,
@@ -73,7 +74,10 @@ def dumps_canonical(obj) -> str:
 # ---------------------------------------------------------------- documents
 
 
-def load_space_doc(doc: dict, max_points: int | None = None) -> FiniteMetricSpace:
+def read_space_doc(
+    doc: dict, max_points: int | None = None
+) -> tuple[list[str], list[list[Fraction]], str]:
+    """Labels, parsed rows and base of a space document; the shape is checked first."""
     if not isinstance(doc, dict):
         raise InputError("space document must be a JSON object")
     try:
@@ -90,11 +94,18 @@ def load_space_doc(doc: dict, max_points: int | None = None) -> FiniteMetricSpac
         )
     if not isinstance(dist, list) or any(not isinstance(row, list) for row in dist):
         raise InputError("space dist must be a matrix (list of rows)")
+    n = len(labels)
+    if len(dist) != n or any(len(row) != n for row in dist):
+        raise InputError(f"distance matrix must be {n}x{n}")
     parsed = [
         [parse_rational(x, f"dist[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(dist)
     ]
-    return build_space(labels, parsed, base)
+    return labels, parsed, base
+
+
+def load_space_doc(doc: dict, max_points: int | None = None) -> FiniteMetricSpace:
+    return build_space(*read_space_doc(doc, max_points))
 
 
 def space_to_doc(space: FiniteMetricSpace) -> dict:
@@ -105,21 +116,26 @@ def space_to_doc(space: FiniteMetricSpace) -> dict:
     }
 
 
-def load_system_doc(space: FiniteMetricSpace, doc: dict) -> MoleculeSystem:
+def load_pairs_doc(space: FiniteMetricSpace, doc: dict) -> list[Pair]:
+    """Point-index pairs of a system document; weights, if any, are not read."""
     if not isinstance(doc, dict):
         raise InputError("system document must be a JSON object")
-    try:
-        raw_pairs = doc["pairs"]
-        raw_weights = doc["weights"]
-    except KeyError as missing:
-        raise InputError(f"system document missing key {missing}") from None
-    if not isinstance(raw_pairs, list) or not isinstance(raw_weights, list):
-        raise InputError("system pairs and weights must be lists")
+    raw_pairs = doc.get("pairs")
+    if not isinstance(raw_pairs, list):
+        raise InputError("system document needs a 'pairs' list")
     pairs = []
     for i, entry in enumerate(raw_pairs):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputError(f"pair {i} must be a two-element list of labels")
         pairs.append((space.index(str(entry[0])), space.index(str(entry[1]))))
+    return pairs
+
+
+def load_system_doc(space: FiniteMetricSpace, doc: dict) -> MoleculeSystem:
+    pairs = load_pairs_doc(space, doc)
+    raw_weights = doc.get("weights")
+    if not isinstance(raw_weights, list):
+        raise InputError("system document needs a 'weights' list")
     weights = [parse_rational(w, f"weight {i}") for i, w in enumerate(raw_weights)]
     return build_system(space, pairs, weights)
 

@@ -144,7 +144,8 @@ def _decompose(space, flow, balance) -> tuple[PlanLeg, ...]:
         seen = {s}
         while u not in demand:
             v = min(w for (a, w) in x if a == u and x[(a, w)] > 0)
-            assert v not in seen, "optimal flows are acyclic"
+            if v in seen:
+                raise CertificateMismatchError("optimal flows are acyclic")
             seen.add(v)
             path.append((u, v))
             u = v
@@ -161,7 +162,8 @@ def _decompose(space, flow, balance) -> tuple[PlanLeg, ...]:
         if demand[t] == 0:
             del demand[t]
         legs[(s, t)] = legs.get((s, t), Fraction(0)) + amount
-    assert not x, "all flow must decompose into supply-to-demand paths"
+    if x:
+        raise CertificateMismatchError("flow is left after the decomposition")
     return tuple(
         (s, t, m) for (s, t), m in sorted(legs.items())
     )

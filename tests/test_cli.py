@@ -165,6 +165,17 @@ class TestExitCodes:
         assert code == 3
         assert "certificate mismatch" in err
 
+    def test_validate_reads_labels_like_norm(self, capsys, tmp_path):
+        space = tmp_path / "int_labels.json"
+        space.write_text(json.dumps({"labels": [0, 1], "base": "0", "dist": [[0, 1], [1, 0]]}))
+        element = tmp_path / "elem.json"
+        element.write_text(json.dumps({"coeffs": {"1": 1}}))
+        assert run(capsys, "norm", "--space", str(space), "--element", str(element))[0] == 2
+        code, out, err = run(capsys, "validate", "--space", str(space))
+        assert code == 2
+        assert out == ""
+        assert "labels" in err
+
     def test_point_cap_env(self, capsys, docs, monkeypatch):
         monkeypatch.setenv("LIPFREE_MAX_POINTS", "2")
         code, _, err = run(capsys, "validate", "--space", docs["tri"])

@@ -1,16 +1,16 @@
 """Property tests for the loops that run on common-denominator integers.
 
-The triangle scan, the min-cost flow and the beta closure scale their
-rational inputs to integers over one common denominator. Each is compared
-here with a plain-Fraction reference on random matrices whose denominators
-are mixed and go up to 10**6, with negative entries where the input allows
-them.
+The triangle scan, the min-cost flow, the Floyd-Warshall kernel and its
+callers (the beta closure and the metric repair) scale their rational inputs
+to integers over one common denominator. Each is compared here with a
+plain-Fraction reference on random matrices whose denominators are mixed and
+go up to 10**6, with negative entries where the input allows them.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lipfree import (
@@ -25,7 +25,8 @@ from lipfree import (
     recheck_certificate,
     validate_space,
 )
-from lipfree.metric import scale_to_integers
+from lipfree.generators import repair_to_metric
+from lipfree.metric import floyd_warshall, scale_to_integers
 from lipfree.transport import _dijkstra
 
 SETTINGS = settings(
@@ -35,6 +36,7 @@ SETTINGS = settings(
 rationals = st.builds(
     Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)
 )
+positives = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
 
 
 # ---------------------------------------------------------------- references
@@ -79,6 +81,14 @@ def reference_closure(beta):
                 if B[i][k] + B[k][j] < B[i][j]:
                     B[i][j] = B[i][k] + B[k][j]
     return tuple(tuple(row) for row in B)
+
+
+def path_of(via, i, j):
+    """The minimal i -> j path that ``floyd_warshall``'s ``via`` describes."""
+    k = via[i][j]
+    if k is None:
+        return [i, j]
+    return path_of(via, i, k) + path_of(via, k, j)[1:]
 
 
 def reference_triangles(m):
@@ -178,6 +188,37 @@ def test_closure_matches_fraction_reference(beta):
     assert result.rigid_pairs == frozenset(
         (j, k) for j in range(n) for k in range(j + 1, n) if B[j][k] + B[k][j] == 0
     )
+
+
+@SETTINGS
+@given(beta_matrices())
+def test_floyd_warshall_matches_fraction_reference(beta):
+    assume(reference_negative_cycle(beta) is None)
+    den, rows = scale_to_integers(beta)
+    via = floyd_warshall(rows)
+    B = reference_closure(beta)
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == B
+    n = len(beta)
+    for i in range(n):
+        for j in range(n):
+            path = path_of(via, i, j)
+            assert path[0] == i and path[-1] == j
+            assert sum((beta[a][b] for a, b in zip(path, path[1:])), Fraction(0)) == B[i][j]
+
+
+@SETTINGS
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.lists(positives, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_repair_to_metric_is_the_closure_of_the_symmetrised_matrix(raw):
+    n = len(raw)
+    sym = [
+        [Fraction(0) if i == j else min(raw[i][j], raw[j][i]) for j in range(n)]
+        for i in range(n)
+    ]
+    assert repair_to_metric(raw) == [list(row) for row in reference_closure(sym)]
 
 
 @SETTINGS

@@ -68,6 +68,11 @@ class TestDocuments:
         with pytest.raises(InputError):
             load_space_doc(TRI_DOC, max_points=2)
 
+    def test_space_shape_checked_before_entries(self):
+        doc = {"labels": ["0", "a"], "base": "0", "dist": [[0, "bad"]]}
+        with pytest.raises(InputError, match="2x2"):
+            load_space_doc(doc)
+
     def test_system_round_trip(self):
         space = load_space_doc(TRI_DOC)
         doc = {"pairs": [["a", "0"], ["0", "b"]], "weights": ["1/2", "1/2"]}
