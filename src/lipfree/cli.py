@@ -124,6 +124,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    points = args.size + 1 if args.kind in ("star", "c0", "c0_truncation") else args.size
+    if points > _max_points():
+        raise InputError("generated space exceeds the point cap")
     if args.kind == "star":
         space = gen_star(args.size)
     elif args.kind in ("c0", "c0_truncation"):
@@ -134,8 +137,6 @@ def cmd_gen(args) -> int:
         space = gen_random(args.size, args.seed, args.profile)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown generator kind {args.kind!r}")
-    if len(space) > _max_points():
-        raise InputError("generated space exceeds the point cap")
     _emit(space_to_doc(space))
     return EXIT_OK
 
@@ -221,9 +222,10 @@ def cmd_potentials(args) -> int:
 def cmd_norming(args) -> int:
     space = _load_space(args)
     system = load_system_doc(space, _read_json(args.system))
-    result = closure(beta_matrix(space, system.pairs))
+    beta = beta_matrix(space, system.pairs)
+    result = closure(beta)
     if isinstance(result, NegativeCycleWitness):
-        recheck_witness(beta_matrix(space, system.pairs), result)
+        recheck_witness(beta, result)
         _emit({"holds": False, "witness": witness_to_doc(space, system.pairs, result)})
         return EXIT_NEGATIVE
     partial = build_on_N(space, system.pairs, result)
@@ -450,9 +452,6 @@ def main(argv=None) -> int:
     except CertificateMismatchError as err:
         print(f"lipfree: certificate mismatch: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    except AssertionError as err:
-        print(f"lipfree: internal error: {err}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (
         InvalidSpaceError,
         InputError,
@@ -464,6 +463,9 @@ def main(argv=None) -> int:
     except LipfreeError as err:  # pragma: no cover - defensive
         print(f"lipfree: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:
+        print(f"lipfree: internal error: {err!r}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,7 +11,7 @@ two checks and the stability constant of the Frechet property live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -30,8 +30,6 @@ from .norming import (
     build_on_N,
     extend_upper,
     lipschitz_constant,
-    make_function,
-    verify_norming,
 )
 from .potentials import (
     NegativeCycleWitness,
@@ -162,7 +160,7 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
     # full coverage pins the free constant, so normalise at the base point
     g1 = extend_upper(space, partial)
     shift = g1.values[space.base]
-    norming = make_function(space, [v - shift for v in g1.values])
+    norming = replace(g1, values=tuple(v - shift for v in g1.values), base_pinned=True)
     return DiffVerdict(kind=VerdictKind.FRECHET, norming=norming, coverage=coverage)
 
 
@@ -346,7 +344,7 @@ def recheck_verdict(
             raise CertificateMismatchError("norming function must vanish at base")
         if lipschitz_constant(space, f.values) != f.lip_constant or f.lip_constant > 1:
             raise CertificateMismatchError("norming function constant is wrong")
-        if not verify_norming(space, system, f):
+        if any(f.values[x] - f.values[y] != space.d(x, y) for x, y in system.pairs):
             raise CertificateMismatchError("function does not norm every molecule")
         if set(cov) != set(space.points()):
             raise CertificateMismatchError("coverage map must mention every point")

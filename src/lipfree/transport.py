@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import CertificateMismatchError
 from .metric import FiniteMetricSpace, scale_to_integers
 from .molecules import MoleculeSystem, PointMassElement, to_point_masses
-from .norming import LipschitzFunction, lipschitz_constant, make_function
+from .norming import LipschitzFunction, lipschitz_constant
 
 PlanLeg = tuple[int, int, Fraction]
 
@@ -76,12 +76,18 @@ def _dijkstra(cost, flow, pi, source):
 
 
 def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
-    """Return (flow dict, potentials) for the given supply/demand vector.
+    """Return (plan, potentials) for the given supply/demand vector.
 
     Successive shortest paths on integers: costs are the distances and
     excesses the balances, each scaled by its own common denominator, so
     every comparison, heap order and tie-break is the one the rational
     problem would take. Only the results are converted back.
+
+    The flow is the plan. By the triangle inequality a path through a third
+    point never costs less than the direct arc, and ``_dijkstra`` relabels a
+    point only on a strict improvement, so the direct arc keeps every tie and
+    flow only ever runs from a supply point straight to a demand point.
+    Reading the flow matrix row by row gives the legs in (source, sink) order.
     """
     n = len(space)
     den, cost = scale_to_integers(space.dist)
@@ -118,55 +124,13 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
         excess[s] -= amount
         excess[t] += amount
         pi = [pi[i] - dist[i] for i in range(n)]
-    flow_dict = {
-        (u, v): Fraction(x, mass_den)
+    plan = tuple(
+        (u, v, Fraction(x, mass_den))
         for u, row in enumerate(flow)
         for v, x in enumerate(row)
         if x
-    }
-    return flow_dict, [Fraction(p, den) for p in pi]
-
-
-def _decompose(space, flow, balance) -> tuple[PlanLeg, ...]:
-    """Collapse an acyclic flow into direct source-to-sink legs.
-
-    Every decomposition path is tight under the optimal potentials, so its
-    cost telescopes to exactly d(source, sink) and the collapse is exact.
-    """
-    x = dict(flow)
-    supply = {p: b for p, b in enumerate(balance) if b > 0}
-    demand = {p: -b for p, b in enumerate(balance) if b < 0}
-    legs: dict[tuple[int, int], Fraction] = {}
-    while supply:
-        s = min(supply)
-        u = s
-        path: list[tuple[int, int]] = []
-        seen = {s}
-        while u not in demand:
-            v = min(w for (a, w) in x if a == u and x[(a, w)] > 0)
-            if v in seen:
-                raise CertificateMismatchError("optimal flows are acyclic")
-            seen.add(v)
-            path.append((u, v))
-            u = v
-        t = u
-        amount = min(supply[s], demand[t], *(x[a] for a in path))
-        for a in path:
-            x[a] -= amount
-            if x[a] == 0:
-                del x[a]
-        supply[s] -= amount
-        if supply[s] == 0:
-            del supply[s]
-        demand[t] -= amount
-        if demand[t] == 0:
-            del demand[t]
-        legs[(s, t)] = legs.get((s, t), Fraction(0)) + amount
-    if x:
-        raise CertificateMismatchError("flow is left after the decomposition")
-    return tuple(
-        (s, t, m) for (s, t), m in sorted(legs.items())
     )
+    return plan, [Fraction(p, den) for p in pi]
 
 
 def free_norm(
@@ -175,13 +139,18 @@ def free_norm(
     """Norm of a finitely supported element with mutually verifying certificates."""
     balance = _balances(space, element)
     if all(b == 0 for b in balance):
-        dual = make_function(space, [Fraction(0)] * len(space))
+        dual = LipschitzFunction(
+            values=(Fraction(0),) * len(space), lip_constant=Fraction(0), base_pinned=True
+        )
         return TransportCertificate(value=Fraction(0), plan=(), dual=dual)
-    flow, pi = _solve_flow(space, balance)
-    plan = _decompose(space, flow, balance)
+    plan, pi = _solve_flow(space, balance)
     value = sum((m * space.d(s, t) for s, t, m in plan), Fraction(0))
-    base = space.base
-    dual = make_function(space, [pi[i] - pi[base] for i in range(len(space))])
+    # the potentials are 1-Lipschitz and every leg is tight under them, so the
+    # constant is exactly 1; recheck_certificate recomputes it
+    shift = pi[space.base]
+    dual = LipschitzFunction(
+        values=tuple(p - shift for p in pi), lip_constant=Fraction(1), base_pinned=True
+    )
     cert = TransportCertificate(value=value, plan=plan, dual=dual)
     recheck_certificate(space, element, cert)
     return cert

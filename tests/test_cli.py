@@ -182,6 +182,27 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "kind, generator, size",
+        [("star", "gen_star", 2), ("c0", "gen_c0_truncation", 2),
+         ("line", "gen_line", 3), ("random", "gen_random", 3)],
+    )
+    def test_gen_checks_point_cap_before_generating(
+        self, capsys, monkeypatch, kind, generator, size
+    ):
+        # size gives exactly 3 points: the cap admits it, one more is refused
+        monkeypatch.setenv("LIPFREE_MAX_POINTS", "3")
+        assert run(capsys, "gen", "--kind", kind, "--size", str(size))[0] == 0
+
+        def never(*args):
+            raise AssertionError("generator called past the point cap")
+
+        monkeypatch.setattr(cli, generator, never)
+        code, out, err = run(capsys, "gen", "--kind", kind, "--size", str(size + 1))
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
 
 class TestReports:
     def test_gen_star_document(self, capsys):
@@ -309,16 +330,17 @@ class TestReports:
 
 class TestInternalFaults:
     def test_assertion_error_is_exit_three(self, capsys, docs, monkeypatch):
-        def broken_decide(space, system):
-            raise AssertionError("synthetic invariant failure")
+        for fault in (AssertionError, TypeError):
+            def broken_decide(space, system):
+                raise fault("synthetic invariant failure")
 
-        monkeypatch.setattr(cli, "decide", broken_decide)
-        code, out, err = run(
-            capsys, "decide", "--space", docs["tri"], "--system", docs["sys_one"]
-        )
-        assert code == 3
-        assert out == ""
-        assert "internal error" in err
+            monkeypatch.setattr(cli, "decide", broken_decide)
+            code, out, err = run(
+                capsys, "decide", "--space", docs["tri"], "--system", docs["sys_one"]
+            )
+            assert code == 3
+            assert out == ""
+            assert "internal error" in err
 
     @pytest.mark.parametrize("eps", ["1_0", "1/0_2", " 7 ", "+3", "٣"])
     def test_loose_rational_is_exit_two(self, capsys, docs, eps):

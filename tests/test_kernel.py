@@ -4,7 +4,9 @@ The triangle scan, the min-cost flow, the Floyd-Warshall kernel and its
 callers (the beta closure and the metric repair) scale their rational inputs
 to integers over one common denominator. Each is compared here with a
 plain-Fraction reference on random matrices whose denominators are mixed and
-go up to 10**6, with negative entries where the input allows them.
+go up to 10**6, with negative entries where the input allows them. The flow
+is also checked to be the transport plan itself: every leg runs from a supply
+point to a demand point.
 """
 
 from fractions import Fraction
@@ -27,7 +29,8 @@ from lipfree import (
 )
 from lipfree.generators import repair_to_metric
 from lipfree.metric import floyd_warshall, scale_to_integers
-from lipfree.transport import _dijkstra
+from lipfree.norming import lipschitz_constant
+from lipfree.transport import _balances, _dijkstra
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -141,18 +144,23 @@ def raw_matrices(draw):
 
 
 @st.composite
-def spaces_with_elements(draw, max_points):
+def spaces_with_elements(draw, max_points, segments=False):
     """A metric with distances in [1, 2] and an element with mixed coefficients.
 
     Any matrix of distances in [1, 2] satisfies the triangle inequality, so
-    the denominators can be drawn freely.
+    the denominators can be drawn freely. With ``segments`` about half the
+    distances are exactly 1 or 2, so many points lie on exact segments
+    d(s, t) = d(s, w) + d(w, t), where shortest-path ties occur.
     """
     n = draw(st.integers(2, max_points))
     dist = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             q = draw(st.integers(1, 10**6))
-            dist[i][j] = dist[j][i] = 1 + Fraction(draw(st.integers(0, q)), q)
+            values = st.integers(0, q)
+            if segments:
+                values = st.one_of(st.sampled_from([0, q]), values)
+            dist[i][j] = dist[j][i] = 1 + Fraction(draw(values), q)
     labels = [str(i) for i in range(n)]
     space = build_space(labels, dist, "0")
     support = draw(st.sets(st.integers(1, n - 1), min_size=1))
@@ -235,6 +243,18 @@ def test_triangle_scan_matches_fraction_reference(m):
 def test_free_norm_certificate_rechecks(case):
     space, element = case
     recheck_certificate(space, element, free_norm(space, element))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_with_elements(max_points=40, segments=True))
+def test_free_norm_plan_runs_from_supply_to_demand(case):
+    space, element = case
+    cert = free_norm(space, element)
+    balance = _balances(space, element)
+    legs = [(s, t) for s, t, _ in cert.plan]
+    assert all(balance[s] > 0 > balance[t] for s, t in legs)
+    assert all(a < b for a, b in zip(legs, legs[1:]))
+    assert cert.dual.lip_constant == lipschitz_constant(space, cert.dual.values)
 
 
 @SETTINGS
