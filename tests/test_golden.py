@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import lipfree.cli as cli
-from lipfree import build_system, gen_c0_truncation, gen_random, gen_star
+from lipfree import build_space, build_system, gen_c0_truncation, gen_random, gen_star
 from lipfree.serialization import render_rational, space_to_doc, system_to_doc
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -47,6 +47,7 @@ CASES = [
     ("coverage-prefix-star5", ["coverage-prefix", "--space", "{star5}", "--system", "{star5_sys}", "--eps", "1/2"], 0),
     ("l1-check-line", ["l1-check", "--space", "{line}", "--system", "{line_pairs}"], 1),
     ("l1-check-star8", ["l1-check", "--space", "{star8}", "--system", "{star8_sys}"], 0),
+    ("l1-check-star8-short", ["l1-check", "--space", "{star8_short}", "--system", "{star8_short_pairs}"], 1),
     ("stability-star3", ["stability", "--space", "{star3}", "--system", "{star3_sys}"], 0),
     # seeded spaces with mixed denominators
     ("validate-rand20-broken", ["validate", "--space", "{rand20_broken}"], 1),
@@ -93,6 +94,17 @@ def _anchored(space, count):
         space, [(n, 0) for n in range(1, count + 1)], [w / total for w in weights]))
 
 
+def _short_star(k, a, b):
+    """Star with d(p, 0) = 1 + 1/(p + 1) and every other distance through the
+    base, except d(a, b), which is 1/7 shorter: only pairs anchored at a and
+    b in opposite orientations fail to be cyclically monotone."""
+    r = [Fraction(0)] + [1 + Fraction(1, p + 1) for p in range(1, k + 1)]
+    dist = [[Fraction(0) if i == j else r[i] + r[j] for j in range(k + 1)]
+            for i in range(k + 1)]
+    dist[a][b] = dist[b][a] = r[a] + r[b] - Fraction(1, 7)
+    return build_space([str(p) for p in range(k + 1)], dist, "0")
+
+
 def input_docs():
     """Every input document, built from the package's generators."""
     star8, star5, star3, c06 = gen_star(8), gen_star(5), gen_star(3), gen_c0_truncation(6)
@@ -112,6 +124,13 @@ def input_docs():
                                ("star3", star3, 3), ("c06", c06, 6)):
         docs[name] = space_to_doc(space)
         docs[name + "_sys"] = _anchored(space, count)
+
+    # the short pair comes first and second, so the first failing orientation
+    # flips the second pair alone: rank 64 of the 128 the walk enumerates
+    star8_short = _short_star(8, 5, 2)
+    docs["star8_short"] = space_to_doc(star8_short)
+    docs["star8_short_pairs"] = {"pairs": [["5", "0"], ["2", "0"], ["7", "0"], ["0", "1"],
+                                           ["4", "0"], ["8", "0"], ["3", "0"], ["6", "0"]]}
 
     broken = space_to_doc(gen_random(20, 3))
     rng = random.Random("golden-rand20-broken")
