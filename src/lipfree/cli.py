@@ -162,8 +162,9 @@ def cmd_attains(args) -> int:
     system = load_system_doc(space, _read_json(args.system))
     cert = free_norm(space, to_point_masses(space, system))
     attained = cert.value == system.total_weight
-    verdict = check_cyclical_monotonicity(space, system.pairs)
-    if attained == (not verdict.holds):
+    beta = beta_matrix(space, system.pairs)
+    result = closure(beta)
+    if attained == isinstance(result, NegativeCycleWitness):
         raise CertificateMismatchError(
             "norm attainment and cyclical monotonicity disagree"
         )
@@ -173,10 +174,10 @@ def cmd_attains(args) -> int:
         "total_weight": render_rational(system.total_weight),
     }
     if not attained:
-        recheck_witness(beta_matrix(space, system.pairs), verdict.witness)
-        report["witness"] = witness_to_doc(space, system.pairs, verdict.witness)
+        recheck_witness(beta, result)
+        report["witness"] = witness_to_doc(space, system.pairs, result)
     if args.oracle:
-        min_sum, _ = brute_cycles(beta_matrix(space, system.pairs))
+        min_sum, _ = brute_cycles(beta)
         if (min_sum >= 0) != attained:
             raise CertificateMismatchError("cycle enumeration oracle disagrees")
         report["oracle"] = "agree"

@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .metric import FiniteMetricSpace, as_fraction
-from .molecules import MoleculeSystem, Pair, beta_matrix
+from .molecules import BetaMatrix, MoleculeSystem, Pair, beta_matrix
 from .norming import (
     LipschitzFunction,
     build_on_N,
@@ -257,6 +257,11 @@ def l1_basis_check(
     so only patterns fixing the first pair's orientation are enumerated. The
     first failing pattern (in lexicographic order, False < True) is returned
     with its negative-cycle witness.
+
+    Beta is built once over the pairs followed by their reversals, so pair j
+    reversed is row and column j + n. Reversing a pair keeps its length,
+    hence each pattern's beta is the submatrix on the indices j + n * flip_j,
+    equal entry for entry to the beta of the oriented pairs.
     """
     pairs = tuple((int(x), int(y)) for x, y in pairs)
     n = len(pairs)
@@ -266,13 +271,12 @@ def l1_basis_check(
         raise ResourceLimitError(
             f"l1 basis check is exponential; cap is {max_pairs} pairs, got {n}"
         )
+    both = beta_matrix(space, pairs + tuple((y, x) for x, y in pairs)).beta
     for flips in product((False, True), repeat=n - 1):
         orientation = (False,) + flips
-        oriented = [
-            (y, x) if flip else (x, y)
-            for (x, y), flip in zip(pairs, orientation)
-        ]
-        result = closure(beta_matrix(space, oriented))
+        index = [j + n * flip for j, flip in enumerate(orientation)]
+        rows = tuple(tuple(both[j][k] for k in index) for j in index)
+        result = closure(BetaMatrix(beta=rows))
         if isinstance(result, NegativeCycleWitness):
             return L1Verdict(
                 isometric=False, orientation=orientation, witness=result

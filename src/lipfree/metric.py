@@ -26,7 +26,12 @@ VIOLATION_KINDS = (
 
 
 def as_fraction(value, where: str = "value") -> Fraction:
-    """Coerce an exact rational (int or Fraction) to Fraction, rejecting floats."""
+    """Coerce an exact rational (int or Fraction) to Fraction, rejecting floats.
+
+    A Fraction is immutable, so one comes back as the same object.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or not isinstance(value, Rational):
         raise InputError(f"{where}: expected an exact rational, got {value!r}")
     return Fraction(value)

@@ -33,6 +33,8 @@ from lipfree import (
     stability_bound,
     verify_stability,
 )
+from lipfree import differentiability
+from lipfree.potentials import closure
 from _instances import random_space, random_system
 
 TRI = build_space(["0", "a", "b"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]], "0")
@@ -264,6 +266,33 @@ class TestL1BasisCheck:
         pairs = [(n, 0) for n in range(1, 22)]
         with pytest.raises(ResourceLimitError):
             l1_basis_check(star, pairs)
+
+    @pytest.mark.parametrize("k,short,rank", [(6, None, None), (6, (1, 2), 16), (6, (1, 4), 4)])
+    def test_one_closure_per_orientation_tried(self, monkeypatch, k, short, rank):
+        """The walk solves each orientation it reaches with one ``closure``
+        call, in lexicographic order: 2**(k-1) calls on an isometric star and
+        (rank of the first failure) + 1 on a failing one."""
+        calls = []
+
+        def counting_closure(beta, *args):
+            calls.append(beta)
+            return closure(beta, *args)
+
+        monkeypatch.setattr(differentiability, "closure", counting_closure)
+        dist = [[0 if i == j else (1 if 0 in (i, j) else 2) for j in range(k + 1)]
+                for i in range(k + 1)]
+        if short is not None:
+            a, b = short
+            dist[a][b] = dist[b][a] = Fraction(3, 2)
+        space = build_space([str(p) for p in range(k + 1)], dist, "0")
+        verdict = l1_basis_check(space, [(p, 0) for p in range(1, k + 1)])
+        if rank is None:
+            assert verdict.isometric
+            assert len(calls) == 2 ** (k - 1)
+            return
+        assert not verdict.isometric
+        assert int("".join("1" if f else "0" for f in verdict.orientation), 2) == rank
+        assert len(calls) == rank + 1
 
     def test_invariant_under_global_flip_and_permutation(self):
         rng = random.Random(502)

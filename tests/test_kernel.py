@@ -10,6 +10,7 @@ point to a demand point.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,9 +22,11 @@ from lipfree import (
     NegativeCycleWitness,
     brute_dual_norm,
     build_space,
+    beta_matrix,
     closure,
     element_from_coeffs,
     free_norm,
+    l1_basis_check,
     recheck_certificate,
     validate_space,
 )
@@ -144,15 +147,15 @@ def raw_matrices(draw):
 
 
 @st.composite
-def spaces_with_elements(draw, max_points, segments=False):
-    """A metric with distances in [1, 2] and an element with mixed coefficients.
+def spaces(draw, min_points, max_points, segments=False):
+    """A metric with distances in [1, 2].
 
     Any matrix of distances in [1, 2] satisfies the triangle inequality, so
     the denominators can be drawn freely. With ``segments`` about half the
     distances are exactly 1 or 2, so many points lie on exact segments
     d(s, t) = d(s, w) + d(w, t), where shortest-path ties occur.
     """
-    n = draw(st.integers(2, max_points))
+    n = draw(st.integers(min_points, max_points))
     dist = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -162,10 +165,49 @@ def spaces_with_elements(draw, max_points, segments=False):
                 values = st.one_of(st.sampled_from([0, q]), values)
             dist[i][j] = dist[j][i] = 1 + Fraction(draw(values), q)
     labels = [str(i) for i in range(n)]
-    space = build_space(labels, dist, "0")
+    return build_space(labels, dist, "0")
+
+
+@st.composite
+def spaces_with_elements(draw, max_points, segments=False):
+    """A space drawn by ``spaces`` and an element with mixed coefficients."""
+    space = draw(spaces(2, max_points, segments))
+    n = len(space)
     support = draw(st.sets(st.integers(1, n - 1), min_size=1))
     coeffs = {p: draw(rationals.filter(bool)) for p in sorted(support)}
     return space, element_from_coeffs(space, coeffs)
+
+
+@st.composite
+def spaces_with_pairs(draw):
+    """A space of 3-9 points and 1-6 pairs, some through the base, some
+    repeating or reversing an earlier pair."""
+    space = draw(spaces(3, 9, segments=draw(st.booleans())))
+    n = len(space)
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["any", "base", "repeat", "reverse"] if pairs else ["any", "base"]))
+        if kind == "repeat":
+            pairs.append(draw(st.sampled_from(pairs)))
+        elif kind == "reverse":
+            x, y = draw(st.sampled_from(pairs))
+            pairs.append((y, x))
+        else:
+            x = draw(st.integers(1, n - 1))
+            y = 0 if kind == "base" else draw(st.integers(0, n - 1).filter(lambda y: y != x))
+            pairs.append(draw(st.sampled_from([(x, y), (y, x)])))
+    return space, pairs
+
+
+def reference_l1(space, pairs):
+    """The orientation walk with beta rebuilt from the oriented pairs each time."""
+    for flips in product((False, True), repeat=len(pairs) - 1):
+        orientation = (False,) + flips
+        oriented = [(y, x) if flip else (x, y) for (x, y), flip in zip(pairs, orientation)]
+        result = closure(beta_matrix(space, oriented))
+        if isinstance(result, NegativeCycleWitness):
+            return orientation, result
+    return None, None
 
 
 # ---------------------------------------------------------------- properties
@@ -269,3 +311,16 @@ def test_negative_reduced_cost_is_a_certificate_mismatch():
     flow = [[0, 0], [0, 0]]
     with pytest.raises(CertificateMismatchError):
         _dijkstra(cost, flow, [0, -5], 0)
+
+
+@SETTINGS
+@given(spaces_with_pairs())
+def test_l1_walk_matches_rebuilt_beta(case):
+    space, pairs = case
+    verdict = l1_basis_check(space, pairs)
+    orientation, witness = reference_l1(space, pairs)
+    assert verdict.isometric == (orientation is None)
+    assert verdict.orientation == orientation
+    if witness is not None:
+        assert verdict.witness.cycle == witness.cycle
+        assert verdict.witness.sum == witness.sum

@@ -1,6 +1,7 @@
 """Tests for space validation, segments, and relaxed segments."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from lipfree import (
     segment_eps,
     validate_space,
 )
+from lipfree.metric import as_fraction
 from _instances import random_space
 
 LINE3 = (["0", "1", "2"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "0")
@@ -25,6 +27,21 @@ def star_raw(k):
         for i in range(k + 1)
     ]
     return labels, dist, "0"
+
+
+class TestAsFraction:
+    def test_fraction_comes_back_unchanged(self):
+        x = Fraction(3, 7)
+        assert as_fraction(x) is x
+
+    def test_int_converts(self):
+        x = as_fraction(-4)
+        assert type(x) is Fraction and x == -4
+
+    @pytest.mark.parametrize("value", [True, 0.5, Decimal("1"), "1"])
+    def test_inexact_or_non_rational_rejected(self, value):
+        with pytest.raises(InputError, match="where"):
+            as_fraction(value, "where")
 
 
 class TestValidateSpace:
