@@ -19,6 +19,7 @@ from lipfree import (
     build_system,
     check_cyclical_monotonicity,
     check_gateaux_eps,
+    closure,
     coverage_eps_prefix,
     decide,
     extend_lower,
@@ -34,7 +35,6 @@ from lipfree import (
     verify_stability,
 )
 from lipfree import differentiability
-from lipfree.potentials import closure
 from _instances import random_space, random_system
 
 TRI = build_space(["0", "a", "b"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]], "0")
