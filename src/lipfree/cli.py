@@ -5,6 +5,9 @@ Exit codes: 0 positive verdict or plain success, 1 negative verdict,
 3 internal certificate mismatch (failed self-verification or oracle
 disagreement) or any other internal fault, so a bug can never read as a
 negative verdict. Every certificate is re-verified before printing.
+
+``transport`` and ``oracles`` are imported inside the commands that use
+them, so the other commands do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .generators import gen_c0_truncation, gen_line, gen_random, gen_star
 from .metric import validate_space
 from .molecules import beta_matrix, to_point_masses
 from .norming import build_on_N, extend_lower, extend_upper
-from .oracles import brute_cycles, brute_dual_norm, brute_norming_uniqueness
 from .potentials import (
     NegativeCycleWitness,
     check_cyclical_monotonicity,
@@ -64,7 +66,6 @@ from .serialization import (
     table_to_doc,
     witness_to_doc,
 )
-from .transport import decompose_to_molecules, free_norm
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -142,11 +143,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    from .transport import free_norm
+
     space = _load_space(args)
     element = load_element_doc(space, _read_json(args.element))
     cert = free_norm(space, element)
     report = certificate_to_doc(space, cert)
     if args.oracle:
+        from .oracles import brute_dual_norm
+
         reference = brute_dual_norm(space, element)
         if reference != cert.value:
             raise CertificateMismatchError(
@@ -158,6 +163,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_attains(args) -> int:
+    from .transport import free_norm
+
     space = _load_space(args)
     system = load_system_doc(space, _read_json(args.system))
     cert = free_norm(space, to_point_masses(space, system))
@@ -177,6 +184,8 @@ def cmd_attains(args) -> int:
         recheck_witness(beta, result)
         report["witness"] = witness_to_doc(space, system.pairs, result)
     if args.oracle:
+        from .oracles import brute_cycles
+
         min_sum, _ = brute_cycles(beta)
         if (min_sum >= 0) != attained:
             raise CertificateMismatchError("cycle enumeration oracle disagrees")
@@ -186,6 +195,8 @@ def cmd_attains(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .transport import decompose_to_molecules
+
     space = _load_space(args)
     element = load_element_doc(space, _read_json(args.element))
     system = decompose_to_molecules(space, element)
@@ -203,6 +214,8 @@ def cmd_potentials(args) -> int:
     beta = beta_matrix(space, system.pairs)
     result = closure(beta)
     if args.oracle:
+        from .oracles import brute_cycles
+
         min_sum, _ = brute_cycles(beta)
         if (min_sum < 0) != isinstance(result, NegativeCycleWitness):
             raise CertificateMismatchError("cycle enumeration oracle disagrees")
@@ -272,6 +285,8 @@ def cmd_decide(args) -> int:
     verdict = decide(space, system)
     recheck_verdict(space, system, verdict)
     if args.oracle:
+        from .oracles import brute_norming_uniqueness
+
         unique = brute_norming_uniqueness(space, system)
         if unique != (verdict.kind is VerdictKind.FRECHET):
             raise CertificateMismatchError("norming uniqueness oracle disagrees")

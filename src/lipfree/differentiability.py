@@ -11,12 +11,12 @@ two checks and the stability constant of the Frechet property live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from ._record import Record
 from .errors import (
     CertificateMismatchError,
     InputError,
@@ -44,22 +44,19 @@ class VerdictKind(Enum):
     NOT_GATEAUX = "not_gateaux"
 
 
-@dataclass(frozen=True)
-class NotAttaining:
+class NotAttaining(Record):
     """The element is not on the sphere as a weighted molecule family."""
 
     witness: NegativeCycleWitness
 
 
-@dataclass(frozen=True)
-class NonUniqueOnN:
+class NonUniqueOnN(Record):
     """Pair of indices whose potential difference is not pinned."""
 
     pair: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Uncovered:
+class Uncovered(Record):
     """Point lying on no tight segment between pair points."""
 
     point: int
@@ -68,16 +65,14 @@ class Uncovered:
 Failure = NotAttaining | NonUniqueOnN | Uncovered
 
 
-@dataclass(frozen=True)
-class DiffVerdict:
+class DiffVerdict(Record):
     kind: VerdictKind
     norming: LipschitzFunction | None = None
     failure: Failure | None = None
     coverage: dict[int, tuple[int, int]] | None = None
 
 
-@dataclass(frozen=True)
-class GateauxEpsReport:
+class GateauxEpsReport(Record):
     """Failures of the epsilon-relaxed differentiability conditions.
 
     ``cond_i`` lists non-epsilon-rigid index pairs (j, k), j < k, with their
@@ -94,16 +89,14 @@ class GateauxEpsReport:
         return not self.cond_i and not self.cond_ii
 
 
-@dataclass(frozen=True)
-class StabilityBound:
+class StabilityBound(Record):
     theta: Fraction
     D: Fraction
     n: int
     K: Fraction
 
 
-@dataclass(frozen=True)
-class L1Verdict:
+class L1Verdict(Record):
     isometric: bool
     orientation: tuple[bool, ...] | None
     witness: NegativeCycleWitness | None
@@ -160,7 +153,7 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
     # full coverage pins the free constant, so normalise at the base point
     g1 = extend_upper(space, partial)
     shift = g1.values[space.base]
-    norming = replace(g1, values=tuple(v - shift for v in g1.values), base_pinned=True)
+    norming = g1.replace(values=tuple(v - shift for v in g1.values), base_pinned=True)
     return DiffVerdict(kind=VerdictKind.FRECHET, norming=norming, coverage=coverage)
 
 

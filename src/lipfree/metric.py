@@ -6,12 +6,12 @@ is an exact comparison; no floating point enters any decision path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from typing import Sequence
 
+from ._record import Record
 from .errors import InputError, InvalidSpaceError
 
 #: violation kinds reported by validate_space
@@ -69,8 +69,7 @@ def floyd_warshall(rows: list[list[int]]) -> list[list[int | None]]:
     return via
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of checking a raw labelled distance matrix.
 
     ``theta`` is the minimal positive distance and ``diameter`` the maximal
@@ -84,8 +83,7 @@ class ValidationReport:
     diameter: Fraction | None
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Record):
     """A labelled point set with exact pairwise distances and a base point."""
 
     labels: tuple[str, ...]

@@ -8,18 +8,17 @@ expansion into signed point masses with the base point eliminated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import InputError
 from .metric import FiniteMetricSpace, as_fraction
 
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class MoleculeSystem:
+class MoleculeSystem(Record):
     """Ordered weighted family of molecules; order defines truncation prefixes."""
 
     pairs: tuple[Pair, ...]
@@ -37,8 +36,7 @@ class MoleculeSystem:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class BetaMatrix:
+class BetaMatrix(Record):
     """Square rational matrix with zero diagonal, indexed by pair positions."""
 
     beta: tuple[tuple[Fraction, ...], ...]
@@ -61,8 +59,7 @@ class BetaMatrix:
         return len(self.beta)
 
 
-@dataclass(frozen=True)
-class PointMassElement:
+class PointMassElement(Record):
     """Canonical finitely supported element: point index -> nonzero coefficient.
 
     The base point never appears (its evaluation functional is zero in the

@@ -8,18 +8,17 @@ point set N and 1-Lipschitz there; the closed-form largest and smallest
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import CertificateMismatchError, InputError
 from .metric import FiniteMetricSpace
 from .molecules import MoleculeSystem, Pair
 from .potentials import PotentialTable
 
 
-@dataclass(frozen=True)
-class PartialFunction:
+class PartialFunction(Record):
     """Exact values on a subset of points (the pair point set N)."""
 
     domain: tuple[int, ...]
@@ -31,8 +30,7 @@ class PartialFunction:
             raise InputError("partial function domain and values disagree")
 
 
-@dataclass(frozen=True)
-class LipschitzFunction:
+class LipschitzFunction(Record):
     """Value vector over all points with an exactly certified Lipschitz constant.
 
     ``base_pinned`` records whether the value at the base point is zero, i.e.

@@ -11,9 +11,9 @@ Floyd-Warshall computes B otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import CertificateMismatchError, InputError
 from .metric import FiniteMetricSpace, floyd_warshall, scale_to_integers
 from .molecules import BetaMatrix, beta_matrix
@@ -21,16 +21,14 @@ from .molecules import BetaMatrix, beta_matrix
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class NegativeCycleWitness:
+class NegativeCycleWitness(Record):
     """Simple cycle of pair indices whose beta arc sum is strictly negative."""
 
     cycle: tuple[int, ...]
     sum: Fraction
 
 
-@dataclass(frozen=True)
-class PotentialTable:
+class PotentialTable(Record):
     """Shortest-path closure B of beta plus one anchored solution.
 
     alphas[j] = B[j][anchor] with alphas[anchor] = 0. ``rigid_pairs`` holds
@@ -46,8 +44,7 @@ class PotentialTable:
     rigid_pairs: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class MonotonicityVerdict:
+class MonotonicityVerdict(Record):
     holds: bool
     witness: NegativeCycleWitness | None
     table: PotentialTable | None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .metric import FiniteMetricSpace, build_space
@@ -27,7 +28,9 @@ from .molecules import (
 )
 from .norming import LipschitzFunction, PartialFunction, make_function
 from .potentials import NegativeCycleWitness, PotentialTable, aligned_and_cross_sums
-from .transport import TransportCertificate
+
+if TYPE_CHECKING:
+    from .transport import TransportCertificate
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 

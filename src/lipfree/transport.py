@@ -11,9 +11,9 @@ value, so every certificate carries a zero duality gap by construction.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import CertificateMismatchError
 from .metric import FiniteMetricSpace, scale_to_integers
 from .molecules import MoleculeSystem, PointMassElement, to_point_masses
@@ -22,8 +22,7 @@ from .norming import LipschitzFunction, lipschitz_constant
 PlanLeg = tuple[int, int, Fraction]
 
 
-@dataclass(frozen=True)
-class TransportCertificate:
+class TransportCertificate(Record):
     """Primal plan and dual function proving the norm value exactly."""
 
     value: Fraction
