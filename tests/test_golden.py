@@ -1,9 +1,11 @@
 """Byte-for-byte CLI goldens: the exact stdout and exit code of fixed invocations.
 
-The first twenty cases are the invocations of the acceptance suite's golden
-matrix; the rest run seeded random spaces of 16-40 points whose distances
+Twenty cases are the invocations of the acceptance suite's golden matrix;
+ten run seeded random spaces of 16-40 points whose distances
 have mixed denominators, so any arithmetic change inside norms, witnesses,
-potentials or verdicts shows up as a byte difference. Inputs live in
+potentials or verdicts shows up as a byte difference. The last three pin
+``--oracle`` branches the others miss: a negative cycle under ``potentials``,
+and the vertex and cycle oracles at their size caps. Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -60,6 +62,10 @@ CASES = [
     ("coverage-prefix-rand16", ["coverage-prefix", "--space", "{rand16}", "--system", "{rand16_sys}", "--eps", "1"], 0),
     ("coverage-prefix-rand32", ["coverage-prefix", "--space", "{rand32}", "--system", "{rand32_sys}", "--eps", "1"], 0),
     ("coverage-prefix-rand32-eighth", ["coverage-prefix", "--space", "{rand32}", "--system", "{rand32_sys}", "--eps", "1/8"], 1),
+    # oracle branches: a negative cycle, and each oracle at its size cap
+    ("potentials-tri-bad-oracle", ["potentials", "--space", "{tri}", "--system", "{sys_bad}", "--oracle"], 1),
+    ("decide-star5-oracle", ["decide", "--space", "{star5}", "--system", "{star5_sys}", "--oracle"], 0),
+    ("attains-star8-oracle", ["attains", "--space", "{star8}", "--system", "{star8_sys}", "--oracle"], 0),
 ]
 
 
