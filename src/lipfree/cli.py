@@ -6,6 +6,10 @@ Exit codes: 0 positive verdict or plain success, 1 negative verdict,
 disagreement) or any other internal fault, so a bug can never read as a
 negative verdict. Every certificate is re-verified before printing.
 
+Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
+the report, tags it ``"oracle": "agree"`` under ``--oracle`` (every oracle
+check raises before its handler returns) and maps errors to exit codes.
+
 ``transport`` and ``oracles`` are imported inside the commands that use
 them, so the other commands do not pay for loading them.
 """
@@ -30,14 +34,7 @@ from .differentiability import (
     stability_bound,
     verify_stability,
 )
-from .errors import (
-    CertificateMismatchError,
-    InputError,
-    InvalidSpaceError,
-    LipfreeError,
-    NotAttainingError,
-    ResourceLimitError,
-)
+from .errors import CertificateMismatchError, InputError, LipfreeError
 from .generators import gen_c0_truncation, gen_line, gen_random, gen_star
 from .metric import validate_space
 from .molecules import beta_matrix, to_point_masses
@@ -94,7 +91,9 @@ def _read_json(path: str) -> dict:
             return json.load(handle)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals longer than int() converts; RecursionError, deep nesting
+    except (ValueError, RecursionError) as err:
         raise InputError(f"{path} is not valid JSON: {err}") from None
 
 
@@ -102,29 +101,37 @@ def _load_space(args):
     return load_space_doc(_read_json(args.space), max_points=_max_points())
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(dumps_canonical(report))
+def _load_system(args):
+    space = _load_space(args)
+    return space, load_system_doc(space, _read_json(args.system))
+
+
+def _witness_doc(space, pairs, beta, witness) -> dict:
+    """Re-check a negative-cycle witness against beta, then render it."""
+    recheck_witness(beta, witness)
+    return witness_to_doc(space, pairs, witness)
+
+
+def _code(positive: bool) -> int:
+    return EXIT_OK if positive else EXIT_NEGATIVE
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict]:
     report = validate_space(*read_space_doc(_read_json(args.space), _max_points()))
-    _emit(
-        {
-            "ok": report.ok,
-            "theta": None if report.theta is None else render_rational(report.theta),
-            "diameter": None
-            if report.diameter is None
-            else render_rational(report.diameter),
-            "violations": [[kind, list(idx)] for kind, idx in report.violations],
-        }
-    )
-    return EXIT_OK if report.ok else EXIT_NEGATIVE
+    return _code(report.ok), {
+        "ok": report.ok,
+        "theta": None if report.theta is None else render_rational(report.theta),
+        "diameter": None
+        if report.diameter is None
+        else render_rational(report.diameter),
+        "violations": [[kind, list(idx)] for kind, idx in report.violations],
+    }
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, dict]:
     points = args.size + 1 if args.kind in ("star", "c0", "c0_truncation") else args.size
     if points > _max_points():
         raise InputError("generated space exceeds the point cap")
@@ -138,11 +145,10 @@ def cmd_gen(args) -> int:
         space = gen_random(args.size, args.seed, args.profile)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown generator kind {args.kind!r}")
-    _emit(space_to_doc(space))
-    return EXIT_OK
+    return EXIT_OK, space_to_doc(space)
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args) -> tuple[int, dict]:
     from .transport import free_norm
 
     space = _load_space(args)
@@ -157,16 +163,13 @@ def cmd_norm(args) -> int:
             raise CertificateMismatchError(
                 f"oracle disagreement: vertex sweep {reference}, solver {cert.value}"
             )
-        report["oracle"] = "agree"
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_attains(args) -> int:
+def cmd_attains(args) -> tuple[int, dict]:
     from .transport import free_norm
 
-    space = _load_space(args)
-    system = load_system_doc(space, _read_json(args.system))
+    space, system = _load_system(args)
     cert = free_norm(space, to_point_masses(space, system))
     attained = cert.value == system.total_weight
     beta = beta_matrix(space, system.pairs)
@@ -181,20 +184,17 @@ def cmd_attains(args) -> int:
         "total_weight": render_rational(system.total_weight),
     }
     if not attained:
-        recheck_witness(beta, result)
-        report["witness"] = witness_to_doc(space, system.pairs, result)
+        report["witness"] = _witness_doc(space, system.pairs, beta, result)
     if args.oracle:
         from .oracles import brute_cycles
 
         min_sum, _ = brute_cycles(beta)
         if (min_sum >= 0) != attained:
             raise CertificateMismatchError("cycle enumeration oracle disagrees")
-        report["oracle"] = "agree"
-    _emit(report)
-    return EXIT_OK if attained else EXIT_NEGATIVE
+    return _code(attained), report
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[int, dict]:
     from .transport import decompose_to_molecules
 
     space = _load_space(args)
@@ -204,13 +204,11 @@ def cmd_decompose(args) -> int:
         raise CertificateMismatchError("decomposition is not cyclically monotone")
     report = system_to_doc(space, system)
     report["total_weight"] = render_rational(system.total_weight)
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_potentials(args) -> int:
-    space = _load_space(args)
-    system = load_system_doc(space, _read_json(args.system))
+def cmd_potentials(args) -> tuple[int, dict]:
+    space, system = _load_system(args)
     beta = beta_matrix(space, system.pairs)
     result = closure(beta)
     if args.oracle:
@@ -220,68 +218,50 @@ def cmd_potentials(args) -> int:
         if (min_sum < 0) != isinstance(result, NegativeCycleWitness):
             raise CertificateMismatchError("cycle enumeration oracle disagrees")
     if isinstance(result, NegativeCycleWitness):
-        recheck_witness(beta, result)
-        report = {"holds": False, "witness": witness_to_doc(space, system.pairs, result)}
-        if args.oracle:
-            report["oracle"] = "agree"
-        _emit(report)
-        return EXIT_NEGATIVE
-    report = {"holds": True, **table_to_doc(result)}
-    if args.oracle:
-        report["oracle"] = "agree"
-    _emit(report)
-    return EXIT_OK
+        witness = _witness_doc(space, system.pairs, beta, result)
+        return EXIT_NEGATIVE, {"holds": False, "witness": witness}
+    return EXIT_OK, {"holds": True, **table_to_doc(result)}
 
 
-def cmd_norming(args) -> int:
-    space = _load_space(args)
-    system = load_system_doc(space, _read_json(args.system))
+def cmd_norming(args) -> tuple[int, dict]:
+    space, system = _load_system(args)
     beta = beta_matrix(space, system.pairs)
     result = closure(beta)
     if isinstance(result, NegativeCycleWitness):
-        recheck_witness(beta, result)
-        _emit({"holds": False, "witness": witness_to_doc(space, system.pairs, result)})
-        return EXIT_NEGATIVE
+        witness = _witness_doc(space, system.pairs, beta, result)
+        return EXIT_NEGATIVE, {"holds": False, "witness": witness}
     partial = build_on_N(space, system.pairs, result)
     upper = extend_upper(space, partial)
     lower = extend_lower(space, partial)
-    _emit(
-        {
-            "holds": True,
-            "partial": partial_to_doc(space, partial),
-            "upper": function_to_doc(space, upper),
-            "lower": function_to_doc(space, lower),
-        }
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "holds": True,
+        "partial": partial_to_doc(space, partial),
+        "upper": function_to_doc(space, upper),
+        "lower": function_to_doc(space, lower),
+    }
 
 
-def cmd_gateaux_eps(args) -> int:
-    space = _load_space(args)
-    system = load_system_doc(space, _read_json(args.system))
+def cmd_gateaux_eps(args) -> tuple[int, dict]:
+    space, system = _load_system(args)
     eps = parse_rational(args.eps, "eps")
     report = check_gateaux_eps(space, system, eps)
-    _emit(
-        {
-            "eps": render_rational(eps),
-            "cond_i_failures": [list(p) for p in report.cond_i],
-            "cond_ii_failures": {
-                space.labels[p]: {
-                    "s": space.labels[s],
-                    "t": space.labels[t],
-                    "slack": render_rational(slack),
-                }
-                for p, (s, t, slack) in sorted(report.cond_ii.items())
-            },
-            "satisfied": report.satisfied,
-        }
-    )
-    return EXIT_OK if report.satisfied else EXIT_NEGATIVE
+    return _code(report.satisfied), {
+        "eps": render_rational(eps),
+        "cond_i_failures": [list(p) for p in report.cond_i],
+        "cond_ii_failures": {
+            space.labels[p]: {
+                "s": space.labels[s],
+                "t": space.labels[t],
+                "slack": render_rational(slack),
+            }
+            for p, (s, t, slack) in sorted(report.cond_ii.items())
+        },
+        "satisfied": report.satisfied,
+    }
 
 
-def cmd_decide(args) -> int:
-    space = _load_space(args)
-    system = load_system_doc(space, _read_json(args.system))
+def cmd_decide(args) -> tuple[int, dict]:
+    space, system = _load_system(args)
     verdict = decide(space, system)
     recheck_verdict(space, system, verdict)
     if args.oracle:
@@ -291,7 +271,7 @@ def cmd_decide(args) -> int:
         if unique != (verdict.kind is VerdictKind.FRECHET):
             raise CertificateMismatchError("norming uniqueness oracle disagrees")
     if verdict.kind is VerdictKind.FRECHET:
-        report = {
+        return EXIT_OK, {
             "kind": "frechet",
             "norming": function_to_doc(space, verdict.norming),
             "coverage": {
@@ -299,10 +279,6 @@ def cmd_decide(args) -> int:
                 for p, (s, t) in sorted(verdict.coverage.items())
             },
         }
-        if args.oracle:
-            report["oracle"] = "agree"
-        _emit(report)
-        return EXIT_OK
     failure = verdict.failure
     if isinstance(failure, NotAttaining):
         detail = {
@@ -323,47 +299,37 @@ def cmd_decide(args) -> int:
             "point": space.labels[failure.point],
             "extension_gap": render_rational(gap),
         }
-    report = {"kind": "not_gateaux", "failure": detail}
-    if args.oracle:
-        report["oracle"] = "agree"
-    _emit(report)
-    return EXIT_NEGATIVE
+    return EXIT_NEGATIVE, {"kind": "not_gateaux", "failure": detail}
 
 
-def cmd_coverage_prefix(args) -> int:
-    space = _load_space(args)
-    system = load_system_doc(space, _read_json(args.system))
+def cmd_coverage_prefix(args) -> tuple[int, dict]:
+    space, system = _load_system(args)
     eps = parse_rational(args.eps, "eps")
     prefix = coverage_eps_prefix(space, system, eps)
-    _emit({"eps": render_rational(eps), "prefix": prefix})
-    return EXIT_OK if prefix is not None else EXIT_NEGATIVE
+    return _code(prefix is not None), {"eps": render_rational(eps), "prefix": prefix}
 
 
-def cmd_l1_check(args) -> int:
+def cmd_l1_check(args) -> tuple[int, dict]:
     space = _load_space(args)
     pairs = load_pairs_doc(space, _read_json(args.system))
     verdict = l1_basis_check(space, pairs, max_pairs=args.max_pairs)
     if verdict.isometric:
-        _emit({"isometric_l1": True})
-        return EXIT_OK
+        return EXIT_OK, {"isometric_l1": True}
     oriented = [
         (y, x) if flip else (x, y)
         for (x, y), flip in zip(pairs, verdict.orientation)
     ]
-    recheck_witness(beta_matrix(space, oriented), verdict.witness)
-    _emit(
-        {
-            "isometric_l1": False,
-            "orientation": list(verdict.orientation),
-            "witness": witness_to_doc(space, oriented, verdict.witness),
-        }
-    )
-    return EXIT_NEGATIVE
+    beta = beta_matrix(space, oriented)
+    witness = _witness_doc(space, oriented, beta, verdict.witness)
+    return EXIT_NEGATIVE, {
+        "isometric_l1": False,
+        "orientation": list(verdict.orientation),
+        "witness": witness,
+    }
 
 
-def cmd_stability(args) -> int:
-    space = _load_space(args)
-    system = load_system_doc(space, _read_json(args.system))
+def cmd_stability(args) -> tuple[int, dict]:
+    space, system = _load_system(args)
     verdict = decide(space, system)
     if verdict.kind is not VerdictKind.FRECHET:
         raise InputError("stability bound applies to Frechet points only")
@@ -374,18 +340,16 @@ def cmd_stability(args) -> int:
         "pairs": bound.n,
         "bound": render_rational(bound.K),
     }
-    if args.function is not None:
-        if args.eps is None:
-            raise InputError("--function requires --eps")
-        g = load_function_doc(space, _read_json(args.function))
-        eps = parse_rational(args.eps, "eps")
-        verified = verify_stability(space, system, g, eps)
-        report["eps"] = render_rational(eps)
-        report["verified"] = verified
-        _emit(report)
-        return EXIT_OK if verified else EXIT_NEGATIVE
-    _emit(report)
-    return EXIT_OK
+    if args.function is None:
+        return EXIT_OK, report
+    if args.eps is None:
+        raise InputError("--function requires --eps")
+    g = load_function_doc(space, _read_json(args.function))
+    eps = parse_rational(args.eps, "eps")
+    verified = verify_stability(space, system, g, eps)
+    report["eps"] = render_rational(eps)
+    report["verified"] = verified
+    return _code(verified), report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -401,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-        return p
 
     space_arg = {"required": True, "help": "space JSON document"}
     system_arg = {"required": True, "help": "system JSON document"}
@@ -410,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_arg = {"action": "store_true", "help": "cross-check with brute force"}
 
     add("validate", cmd_validate, **{"--space": space_arg})
-    gen = add(
+    add(
         "gen",
         cmd_gen,
         **{
@@ -426,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
             },
         },
     )
-    del gen
     add("norm", cmd_norm, **{"--space": space_arg, "--element": element_arg, "--oracle": oracle_arg})
     add("attains", cmd_attains, **{"--space": space_arg, "--system": system_arg, "--oracle": oracle_arg})
     add("decompose", cmd_decompose, **{"--space": space_arg, "--element": element_arg})
@@ -464,19 +426,15 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code else EXIT_OK
     try:
-        return args.handler(args)
+        code, report = args.handler(args)
+        if getattr(args, "oracle", False):
+            report["oracle"] = "agree"
+        sys.stdout.write(dumps_canonical(report))
+        return code
     except CertificateMismatchError as err:
         print(f"lipfree: certificate mismatch: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (
-        InvalidSpaceError,
-        InputError,
-        NotAttainingError,
-        ResourceLimitError,
-    ) as err:
-        print(f"lipfree: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except LipfreeError as err:  # pragma: no cover - defensive
+    except LipfreeError as err:
         print(f"lipfree: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:

@@ -23,7 +23,7 @@ from .errors import (
     NotAttainingError,
     ResourceLimitError,
 )
-from .metric import FiniteMetricSpace, as_fraction
+from .metric import FiniteMetricSpace, positive_eps
 from .molecules import BetaMatrix, MoleculeSystem, Pair, beta_matrix
 from .norming import (
     LipschitzFunction,
@@ -102,13 +102,6 @@ class L1Verdict(Record):
     witness: NegativeCycleWitness | None
 
 
-def _table_or_raise(space, pairs) -> PotentialTable:
-    result = closure(beta_matrix(space, pairs))
-    if isinstance(result, NegativeCycleWitness):
-        raise NotAttainingError(result)
-    return result
-
-
 def _function_slacks(space, partial) -> list[tuple[int, int, Fraction]]:
     """``(s, t, d(t, s) - (f(t) - f(s)))`` over ordered pairs of distinct points of N.
 
@@ -119,6 +112,16 @@ def _function_slacks(space, partial) -> list[tuple[int, int, Fraction]]:
     f = partial.values
     N = partial.domain
     return [(s, t, d[t][s] - (f[t] - f[s])) for s in N for t in N if s != t]
+
+
+def _solve(
+    space: FiniteMetricSpace, system: MoleculeSystem
+) -> tuple[PotentialTable, list[tuple[int, int, Fraction]]]:
+    """The family's potential table and function slacks; NotAttainingError if none."""
+    table = closure(beta_matrix(space, system.pairs))
+    if isinstance(table, NegativeCycleWitness):
+        raise NotAttainingError(table)
+    return table, _function_slacks(space, build_on_N(space, system.pairs, table))
 
 
 def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
@@ -161,10 +164,8 @@ def check_gateaux_eps(
     space: FiniteMetricSpace, system: MoleculeSystem, eps
 ) -> GateauxEpsReport:
     """Epsilon-relaxed rigidity and coverage report for an attaining family."""
-    eps = as_fraction(eps, "eps")
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    table = _table_or_raise(space, system.pairs)
+    eps = positive_eps(eps)
+    table, slacks = _solve(space, system)
     n = len(system.pairs)
     cond_i = tuple(
         (j, k)
@@ -172,7 +173,6 @@ def check_gateaux_eps(
         for k in range(j + 1, n)
         if table.B[j][k] + table.B[k][j] >= eps
     )
-    slacks = _function_slacks(space, build_on_N(space, system.pairs, table))
     d = space.dist
     cond_ii: dict[int, tuple[int, int, Fraction]] = {}
     for p in space.points():
@@ -196,8 +196,7 @@ def min_coverage_slack(
     Zero iff the point is exactly covered; any eps at most this value keeps
     the point in the cond_ii failure set of check_gateaux_eps.
     """
-    table = _table_or_raise(space, system.pairs)
-    slacks = _function_slacks(space, build_on_N(space, system.pairs, table))
+    _, slacks = _solve(space, system)
     d = space.dist
     return min(
         max(d[s][point] + d[t][point] - d[s][t], slack) for s, t, slack in slacks
@@ -216,11 +215,8 @@ def coverage_eps_prefix(
     the 1-based index of the first pair containing x. The condition on f is
     the slack of (t, s) being below eps, and the segment test is symmetric.
     """
-    eps = as_fraction(eps, "eps")
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    table = _table_or_raise(space, system.pairs)
-    slacks = _function_slacks(space, build_on_N(space, system.pairs, table))
+    eps = positive_eps(eps)
+    _, slacks = _solve(space, system)
     first: dict[int, int] = {}
     for upto, pair in enumerate(system.pairs, 1):
         for x in pair:
@@ -302,9 +298,7 @@ def verify_stability(
     distance to the norming function must be at most K * eps; the implication
     is vacuously true when the hypothesis fails.
     """
-    eps = as_fraction(eps, "eps")
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    eps = positive_eps(eps)
     verdict = decide(space, system)
     if verdict.kind is not VerdictKind.FRECHET:
         raise InputError("stability bound applies to Frechet points only")

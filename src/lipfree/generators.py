@@ -17,6 +17,9 @@ from .errors import InputError
 from .metric import FiniteMetricSpace, as_fraction, build_space
 from .metric import floyd_warshall, scale_to_integers
 
+#: random distances have denominators in 1..DENOMINATOR_CAP; it seeds the rng too
+DENOMINATOR_CAP = 64
+
 
 def gen_star(k: int) -> FiniteMetricSpace:
     """Star of k satellites around the base: d(n, 0) = 1, d(m, n) = 2."""
@@ -105,18 +108,13 @@ def _insert_midpoint(dist: list[list[Fraction]], u: int, v: int) -> None:
     dist.append(row)
 
 
-def gen_random(
-    points: int,
-    seed: int,
-    profile: str = "generic",
-    denominator_cap: int = 64,
-) -> FiniteMetricSpace:
+def gen_random(points: int, seed: int, profile: str = "generic") -> FiniteMetricSpace:
     """Seeded random space; same arguments always give the identical space."""
     if points < 2:
         raise InputError("random space needs at least two points")
     if profile not in ("generic", "near-degenerate"):
         raise InputError(f"unknown profile {profile!r}")
-    rng = random.Random((seed, points, profile, denominator_cap).__repr__())
+    rng = random.Random((seed, points, profile, DENOMINATOR_CAP).__repr__())
     midpoints = 0
     core = points
     if profile == "near-degenerate" and points >= 3:
@@ -125,7 +123,7 @@ def gen_random(
     raw = [[Fraction(0)] * core for _ in range(core)]
     for i in range(core):
         for j in range(i + 1, core):
-            den = rng.randint(1, denominator_cap)
+            den = rng.randint(1, DENOMINATOR_CAP)
             num = rng.randint(1, 6 * den)
             raw[i][j] = raw[j][i] = Fraction(num, den)
     dist = repair_to_metric(raw)

@@ -14,16 +14,6 @@ from typing import Sequence
 from ._record import Record
 from .errors import InputError, InvalidSpaceError
 
-#: violation kinds reported by validate_space
-VIOLATION_KINDS = (
-    "asymmetry",
-    "dup-label",
-    "negative",
-    "nonzero-diag",
-    "triangle",
-    "zero-offdiag",
-)
-
 
 def as_fraction(value, where: str = "value") -> Fraction:
     """Coerce an exact rational (int or Fraction) to Fraction, rejecting floats.
@@ -35,6 +25,14 @@ def as_fraction(value, where: str = "value") -> Fraction:
     if isinstance(value, bool) or not isinstance(value, Rational):
         raise InputError(f"{where}: expected an exact rational, got {value!r}")
     return Fraction(value)
+
+
+def positive_eps(eps) -> Fraction:
+    """``eps`` as an exact Fraction; InputError unless it is positive."""
+    eps = as_fraction(eps, "eps")
+    if eps <= 0:
+        raise InputError("eps must be positive")
+    return eps
 
 
 def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
@@ -230,9 +228,7 @@ def segment_eps(
     """Points z with d(s,z) + d(t,z) < d(s,t) + eps (strict inequality)."""
     if s == t:
         raise InputError("segment endpoints must be distinct")
-    eps = as_fraction(eps, "eps")
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    eps = positive_eps(eps)
     d = space.dist
     return frozenset(
         z for z in space.points() if d[s][z] + d[t][z] < d[s][t] + eps

@@ -98,8 +98,11 @@ def build_on_N(
     return PartialFunction(domain=tuple(values), values=values)
 
 
-def _check_partial_lipschitz(space: FiniteMetricSpace, partial: PartialFunction):
+def _check_extendable(space: FiniteMetricSpace, partial: PartialFunction):
+    """InputError unless the partial function has a domain and is 1-Lipschitz on it."""
     dom = partial.domain
+    if not dom:
+        raise InputError("cannot extend a partial function with empty domain")
     for a in range(len(dom)):
         for b in range(a + 1, len(dom)):
             p, q = dom[a], dom[b]
@@ -111,38 +114,34 @@ def _check_partial_lipschitz(space: FiniteMetricSpace, partial: PartialFunction)
                 )
 
 
-def extend_upper(
-    space: FiniteMetricSpace, partial: PartialFunction
-) -> LipschitzFunction:
-    """Largest 1-Lipschitz extension: g1(x) = min over p in N of f(p) + d(p,x)."""
-    if not partial.domain:
-        raise InputError("cannot extend a partial function with empty domain")
-    _check_partial_lipschitz(space, partial)
-    vals = [
-        min(partial.values[p] + space.d(p, x) for p in partial.domain)
-        for x in space.points()
-    ]
+def _extension(space: FiniteMetricSpace, vals: list[Fraction]) -> LipschitzFunction:
+    """Certify an extension's values; its constant above 1 is an internal bug."""
     out = make_function(space, vals)
     if out.lip_constant > 1:
         raise CertificateMismatchError("a 1-Lipschitz extension has constant <= 1")
     return out
+
+
+def extend_upper(
+    space: FiniteMetricSpace, partial: PartialFunction
+) -> LipschitzFunction:
+    """Largest 1-Lipschitz extension: g1(x) = min over p in N of f(p) + d(p,x)."""
+    _check_extendable(space, partial)
+    return _extension(space, [
+        min(partial.values[p] + space.d(p, x) for p in partial.domain)
+        for x in space.points()
+    ])
 
 
 def extend_lower(
     space: FiniteMetricSpace, partial: PartialFunction
 ) -> LipschitzFunction:
     """Smallest 1-Lipschitz extension: g2(x) = max over p in N of f(p) - d(p,x)."""
-    if not partial.domain:
-        raise InputError("cannot extend a partial function with empty domain")
-    _check_partial_lipschitz(space, partial)
-    vals = [
+    _check_extendable(space, partial)
+    return _extension(space, [
         max(partial.values[p] - space.d(p, x) for p in partial.domain)
         for x in space.points()
-    ]
-    out = make_function(space, vals)
-    if out.lip_constant > 1:
-        raise CertificateMismatchError("a 1-Lipschitz extension has constant <= 1")
-    return out
+    ])
 
 
 def verify_norming(

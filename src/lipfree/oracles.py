@@ -23,9 +23,7 @@ MAX_CYCLE_SIZE = 8
 MAX_VERTEX_POINTS = 6
 
 
-def brute_cycles(
-    beta: BetaMatrix, max_len: int | None = None
-) -> tuple[Fraction, tuple[int, ...]]:
+def brute_cycles(beta: BetaMatrix) -> tuple[Fraction, tuple[int, ...]]:
     """Minimal arc sum over all simple cycles, with an argmin cycle.
 
     Cycles of length one contribute the zero diagonal, so the result is the
@@ -39,7 +37,6 @@ def brute_cycles(
             f"brute_cycles caps at {MAX_CYCLE_SIZE} pairs, got {n}"
         )
     rows = beta.beta
-    limit = n if max_len is None else min(max_len, n)
     best_sum = Fraction(0)
     best_cycle: tuple[int, ...] = ()
 
@@ -51,8 +48,6 @@ def brute_cycles(
             if closing < best_sum:
                 best_sum = closing
                 best_cycle = tuple(path)
-        if len(path) == limit:
-            return
         for v in range(start + 1, n):
             if v in used:
                 continue

@@ -29,11 +29,12 @@ class NegativeCycleWitness(Record):
 
 
 class PotentialTable(Record):
-    """Shortest-path closure B of beta plus one anchored solution.
+    """Shortest-path closure B of beta plus the solution anchored at pair 0.
 
-    alphas[j] = B[j][anchor] with alphas[anchor] = 0. ``rigid_pairs`` holds
-    every unordered pair {j,k} (stored as (j,k), j<k) with B[j][k]+B[k][j]=0;
-    the solution is unique up to a constant iff all pairs are rigid.
+    alphas[j] = B[j][anchor], with ``anchor`` always 0, so alphas[0] = 0.
+    ``rigid_pairs`` holds every unordered pair {j,k} (stored as (j,k), j<k)
+    with B[j][k]+B[k][j]=0; the solution is unique up to a constant iff all
+    pairs are rigid.
     """
 
     beta: Matrix
@@ -97,7 +98,7 @@ def _find_negative_cycle(beta: list[list[int]]) -> list[int] | None:
     return seen
 
 
-def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycleWitness:
+def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
     """Decide solvability of the difference constraints for a beta matrix.
 
     Returns a NegativeCycleWitness when some cycle has negative arc sum, else
@@ -110,8 +111,6 @@ def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycle
     n = len(rows)
     if n == 0:
         raise InputError("beta matrix must be nonempty")
-    if not (0 <= anchor < n):
-        raise InputError("anchor out of range")
     den, B = scale_to_integers(rows)
     seen = _find_negative_cycle(B)
     if seen is not None:
@@ -134,12 +133,12 @@ def closure(beta: BetaMatrix, anchor: int = 0) -> PotentialTable | NegativeCycle
         if B[j][k] + B[k][j] == 0
     )
     closed = tuple(tuple(Fraction(x, den) for x in row) for row in B)
-    alphas = tuple(closed[j][anchor] for j in range(n))
+    alphas = tuple(row[0] for row in closed)
     return PotentialTable(
         beta=rows,
         B=closed,
         alphas=alphas,
-        anchor=anchor,
+        anchor=0,
         globally_unique=len(rigid) == n * (n - 1) // 2,
         rigid_pairs=rigid,
     )

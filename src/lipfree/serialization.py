@@ -50,12 +50,15 @@ def parse_rational(value, where: str = "value") -> Fraction:
         if match is None:
             raise InputError(f"{where}: cannot parse rational {value!r}")
         num, den = match.groups()
-        if den is None:
-            return Fraction(int(num))
-        den = int(den)
+        try:
+            if den is None:
+                return Fraction(int(num))
+            num, den = int(num), int(den)
+        except ValueError:  # more digits than int() converts
+            raise InputError(f"{where}: rational has too many digits") from None
         if den == 0:
             raise InputError(f"{where}: denominator must be positive in {value!r}")
-        return Fraction(int(num), den)
+        return Fraction(num, den)
     raise InputError(
         f"{where}: rationals must be integers or 'p/q' strings, got {value!r}"
     )

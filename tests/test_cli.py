@@ -1,6 +1,7 @@
 """Exit-code and report-shape tests for the command-line front end."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,48 @@ class TestInternalFaults:
         )
         assert code == 2
         assert "cannot parse rational" in err
+
+    # int() refuses more digits than this (0 means no limit)
+    DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    TOO_LONG = "1" * (DIGITS + 1)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "non-utf8",
+            "deep-nesting",
+            pytest.param("long-int-literal", marks=pytest.mark.skipif(
+                not DIGITS, reason="no int digit limit")),
+            pytest.param("long-rational-string", marks=pytest.mark.skipif(
+                not DIGITS, reason="no int digit limit")),
+            pytest.param("long-eps", marks=pytest.mark.skipif(
+                not DIGITS, reason="no int digit limit")),
+        ],
+    )
+    def test_malformed_input_is_exit_two(self, capsys, docs, tmp_path, case):
+        space = tmp_path / "space.json"
+        argv = ["validate", "--space", str(space)]
+        if case == "non-utf8":
+            space.write_bytes(b'{"labels": ["\xff"], "base": "0", "dist": [[0]]}')
+        elif case == "deep-nesting":
+            space.write_text("[" * 200000)
+        elif case == "long-int-literal":
+            space.write_text(
+                '{"labels": ["0", "1"], "base": "0", "dist": [[0, %s], [%s, 0]]}'
+                % (self.TOO_LONG, self.TOO_LONG)
+            )
+        elif case == "long-rational-string":
+            space.write_text(json.dumps(
+                {"labels": ["0", "1"], "base": "0",
+                 "dist": [[0, "1/" + self.TOO_LONG], ["1/" + self.TOO_LONG, 0]]}
+            ))
+        else:
+            argv = ["gateaux-eps", "--space", docs["tri"], "--system", docs["sys_one"],
+                    "--eps", "1/" + self.TOO_LONG]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "internal error" not in err
 
 
 def test_public_api_exports_no_submodules():
