@@ -5,7 +5,8 @@ ten run seeded random spaces of 16-40 points whose distances
 have mixed denominators, so any arithmetic change inside norms, witnesses,
 potentials or verdicts shows up as a byte difference. The last three pin
 ``--oracle`` branches the others miss: a negative cycle under ``potentials``,
-and the vertex and cycle oracles at their size caps. Inputs live in
+and the vertex and cycle oracles at their size caps. Four more run
+``stability`` with a candidate function. Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -66,6 +67,16 @@ CASES = [
     ("potentials-tri-bad-oracle", ["potentials", "--space", "{tri}", "--system", "{sys_bad}", "--oracle"], 1),
     ("decide-star5-oracle", ["decide", "--space", "{star5}", "--system", "{star5_sys}", "--oracle"], 0),
     ("attains-star8-oracle", ["attains", "--space", "{star8}", "--system", "{star8_sys}", "--oracle"], 0),
+    # stability with a candidate function: the hypothesis holds, it fails
+    # (vacuously verified), and each of the two input checks on the function
+    ("stability-star3-near", ["stability", "--space", "{star3}", "--system", "{star3_sys}",
+                              "--function", "{star3_g_near}", "--eps", "1/16"], 0),
+    ("stability-star3-vacuous", ["stability", "--space", "{star3}", "--system", "{star3_sys}",
+                                 "--function", "{star3_g_zero}", "--eps", "1/16"], 0),
+    ("stability-star3-steep", ["stability", "--space", "{star3}", "--system", "{star3_sys}",
+                               "--function", "{star3_g_steep}", "--eps", "1/16"], 2),
+    ("stability-star3-off-base", ["stability", "--space", "{star3}", "--system", "{star3_sys}",
+                                  "--function", "{star3_g_off_base}", "--eps", "1/16"], 2),
 ]
 
 
@@ -125,6 +136,10 @@ def input_docs():
         "sys_one": {"pairs": [["a", "0"]], "weights": [1]},
         "sys_bad": {"pairs": [["a", "0"], ["0", "b"]], "weights": ["1/2", "1/2"]},
         "line_pairs": {"pairs": [["1", "0"], ["2", "0"]]},
+        "star3_g_near": {"values": {"0": 0, "1": 1, "2": 1, "3": "3/4"}},
+        "star3_g_zero": {"values": {"0": 0, "1": 0, "2": 0, "3": 0}},
+        "star3_g_steep": {"values": {"0": 0, "1": 2, "2": 0, "3": 0}},
+        "star3_g_off_base": {"values": {"0": 1, "1": 1, "2": 1, "3": 1}},
     }
     for name, space, count in (("star8", star8, 8), ("star5", star5, 5),
                                ("star3", star3, 3), ("c06", c06, 6)):
