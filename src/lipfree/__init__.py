@@ -86,7 +86,6 @@ _MODULES = {
         "closure",
         "cycle_sum",
         "recheck_witness",
-        "rigid_chain",
     ),
     "transport": (
         "TransportCertificate",

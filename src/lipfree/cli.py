@@ -32,7 +32,7 @@ from .differentiability import (
     l1_basis_check,
     recheck_verdict,
     stability_bound,
-    verify_stability,
+    stability_holds,
 )
 from .errors import CertificateMismatchError, InputError, LipfreeError
 from .generators import gen_c0_truncation, gen_line, gen_random, gen_star
@@ -346,7 +346,7 @@ def cmd_stability(args) -> tuple[int, dict]:
         raise InputError("--function requires --eps")
     g = load_function_doc(space, _read_json(args.function))
     eps = parse_rational(args.eps, "eps")
-    verified = verify_stability(space, system, g, eps)
+    verified = stability_holds(space, system, verdict.norming, bound, g, eps)
     report["eps"] = render_rational(eps)
     report["verified"] = verified
     return _code(verified), report

@@ -36,6 +36,7 @@ from .potentials import (
     PotentialTable,
     closure,
     recheck_witness,
+    tight_rigid_pairs,
 )
 
 
@@ -298,10 +299,19 @@ def verify_stability(
     distance to the norming function must be at most K * eps; the implication
     is vacuously true when the hypothesis fails.
     """
-    eps = positive_eps(eps)
     verdict = decide(space, system)
     if verdict.kind is not VerdictKind.FRECHET:
         raise InputError("stability bound applies to Frechet points only")
+    bound = stability_bound(space, system)
+    return stability_holds(space, system, verdict.norming, bound, g, eps)
+
+
+def stability_holds(
+    space: FiniteMetricSpace, system: MoleculeSystem, f: LipschitzFunction,
+    bound: StabilityBound, g: LipschitzFunction, eps,
+) -> bool:
+    """``verify_stability`` given the family's norming function f and its bound."""
+    eps = positive_eps(eps)
     lip = lipschitz_constant(space, g.values)
     if lip > 1:
         raise InputError(f"candidate function has Lipschitz constant {lip} > 1")
@@ -316,32 +326,41 @@ def verify_stability(
     )
     if not g_mu > 1 - eps / min(system.weights):
         return True
-    f = verdict.norming
-    assert f is not None
     gap = max(abs(f.values[p] - g.values[p]) for p in space.points())
-    return gap <= stability_bound(space, system).K * eps
+    return gap <= bound.K * eps
 
 
 def recheck_verdict(
     space: FiniteMetricSpace, system: MoleculeSystem, verdict: DiffVerdict
 ) -> None:
-    """Re-verify a differentiability verdict from raw inputs; raise on mismatch."""
+    """Re-verify a differentiability verdict from raw inputs; raise on mismatch.
+
+    A Frechet verdict is proved from f alone: if the arcs tight under
+    alpha_k = f(y_k) join every two pair indices both ways, every norming g
+    is f + c on N and on each tight segment of N; g(base) = 0 gives c = 0.
+    """
     if verdict.kind is VerdictKind.FRECHET:
         f = verdict.norming
         cov = verdict.coverage
+        pairs = system.pairs
         if f is None or cov is None:
             raise CertificateMismatchError("Frechet verdict missing certificates")
         if f.values[space.base] != 0:
             raise CertificateMismatchError("norming function must vanish at base")
         if lipschitz_constant(space, f.values) != f.lip_constant or f.lip_constant > 1:
             raise CertificateMismatchError("norming function constant is wrong")
-        if any(f.values[x] - f.values[y] != space.d(x, y) for x, y in system.pairs):
+        if any(f.values[x] - f.values[y] != space.d(x, y) for x, y in pairs):
             raise CertificateMismatchError("function does not norm every molecule")
+        alphas = [f.values[y] for _, y in pairs]
+        rigid = tight_rigid_pairs(beta_matrix(space, pairs).beta, alphas)
+        if len(rigid) != len(pairs) * (len(pairs) - 1) // 2:
+            raise CertificateMismatchError("norming function is not unique on N")
         if set(cov) != set(space.points()):
             raise CertificateMismatchError("coverage map must mention every point")
+        N = {p for pair in pairs for p in pair}
         for p, (s, t) in cov.items():
-            if s == t or f.values[t] - f.values[s] != space.d(t, s):
-                raise CertificateMismatchError(f"coverage pair for {p} is not tight")
+            if s == t or {s, t} - N or f.values[t] - f.values[s] != space.d(t, s):
+                raise CertificateMismatchError(f"coverage of {p} is no tight pair of N")
             if space.d(s, p) + space.d(t, p) != space.d(s, t):
                 raise CertificateMismatchError(f"point {p} not on its segment")
         return

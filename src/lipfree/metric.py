@@ -47,24 +47,18 @@ def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-def floyd_warshall(rows: list[list[int]]) -> list[list[int | None]]:
+def floyd_warshall(rows: list[list[int]]) -> None:
     """Close a square integer matrix under shortest paths, in place.
 
-    Returns ``via``: a minimal i -> j path is the i -> k path followed by the
-    k -> j path for k = ``via[i][j]``, or the direct arc when it is None; ties
-    keep the direct arc. The caller rules out negative cycles.
+    The caller rules out negative cycles.
     """
-    n = len(rows)
-    via: list[list[int | None]] = [[None] * n for _ in range(n)]
     for k, row_k in enumerate(rows):
-        for row_i, via_i in zip(rows, via):
+        for row_i in rows:
             ik = row_i[k]
             for j, kj in enumerate(row_k):
                 cand = ik + kj
                 if cand < row_i[j]:
                     row_i[j] = cand
-                    via_i[j] = k
-    return via
 
 
 class ValidationReport(Record):

@@ -12,6 +12,7 @@ Floyd-Warshall computes B otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from ._record import Record
 from .errors import CertificateMismatchError, InputError
@@ -144,101 +145,29 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
     )
 
 
-def _reconstruct(via, i: int, j: int) -> list[int]:
-    k = via[i][j]
-    if k is None:
-        return [i, j]
-    left = _reconstruct(via, i, k)
-    right = _reconstruct(via, k, j)
-    return left + right[1:]
+def tight_rigid_pairs(
+    beta: Matrix, alphas: Sequence[Fraction]
+) -> frozenset[tuple[int, int]]:
+    """Index pairs (j, k), j < k, joined both ways by arcs tight under ``alphas``.
 
-
-def _strip_walk(nodes: list[int], keep: set[int]) -> list[int]:
-    """Remove repeated-vertex loops from a closed walk without dropping ``keep``.
-
-    Every removable loop has arc sum zero (each closed subwalk is nonnegative
-    and the total is zero), so stripping preserves the zero total.
-    """
-    changed = True
-    while changed:
-        changed = False
-        positions: dict[int, int] = {}
-        for idx, v in enumerate(nodes):
-            if v in positions:
-                a, b = positions[v], idx
-                inner = nodes[a:b]
-                outer = nodes[b:] + nodes[:a]
-                if keep <= set(outer):
-                    nodes = outer
-                    changed = True
-                    break
-                if keep <= set(inner):
-                    nodes = inner
-                    changed = True
-                    break
-            positions[v] = idx
-    return nodes
-
-
-def _simple_zero_cycle(beta: Matrix, B: Matrix, j: int, k: int) -> list[int] | None:
-    """Depth-first search for a simple zero-sum cycle through j and k.
-
-    Pruning: a partial path ending at u can only close at total zero if the
-    best possible completion (via B) does not overshoot zero.
+    Arc k -> j is tight when alphas[k] = alphas[j] + beta[k][j]. For a
+    solution alphas these are the rigid pairs: every arc of a zero cycle is
+    tight, and any other solution differs from alphas by one constant on
+    indices joined both ways. Reachability is Warshall's, on bit masks.
     """
     n = len(beta)
-
-    def dfs(path: list[int], used: set[int], total: Fraction):
-        u = path[-1]
-        if k in used and total + beta[u][j] == 0:
-            return list(path)
-        bound = B[u][j] if k in used else B[u][k] + B[k][j]
-        if total + bound > 0:
-            return None
-        for v in range(n):
-            if v == j or v in used:
-                continue
-            path.append(v)
-            used.add(v)
-            found = dfs(path, used, total + beta[u][v])
-            if found is not None:
-                return found
-            used.discard(v)
-            path.pop()
-        return None
-
-    return dfs([j], {j}, Fraction(0))
-
-
-def rigid_chain(table: PotentialTable, j: int, k: int) -> tuple[int, ...] | None:
-    """Zero-sum cycle through pair indices j and k certifying their rigidity.
-
-    Built by concatenating a minimizing j->k path with a minimizing k->j path
-    and stripping loops; a direct search for a simple cycle runs if stripping
-    leaves a repeat. Returns None when {j,k} is not rigid. In degenerate
-    matrices no simple certificate exists and the returned closed walk may
-    repeat an index; its arc sum is still exactly zero.
-    """
-    if j == k:
-        raise InputError("rigid_chain requires two distinct pair indices")
-    lo, hi = min(j, k), max(j, k)
-    if (lo, hi) not in table.rigid_pairs:
-        return None
-    _, scaled = scale_to_integers(table.beta)
-    via = floyd_warshall(scaled)
-    forward = _reconstruct(via, j, k)
-    backward = _reconstruct(via, k, j)
-    walk = forward + backward[1:-1]
-    walk = _strip_walk(walk, {j, k})
-    if len(set(walk)) != len(walk):
-        simple = _simple_zero_cycle(table.beta, table.B, j, k)
-        if simple is not None:
-            walk = simple
-    lead = walk.index(j)
-    chain = tuple(walk[lead:] + walk[:lead])
-    if cycle_sum(table.beta, chain) != 0:
-        raise CertificateMismatchError("rigidity chain must have zero arc sum")
-    return chain
+    reach = [
+        sum(1 << j for j in range(n) if alphas[k] == alphas[j] + beta[k][j])
+        for k in range(n)
+    ]
+    for m in range(n):
+        for k in range(n):
+            if reach[k] >> m & 1:
+                reach[k] |= reach[m]
+    pairs = ((j, k) for j in range(n) for k in range(j + 1, n))
+    return frozenset(
+        (j, k) for j, k in pairs if reach[j] >> k & 1 and reach[k] >> j & 1
+    )
 
 
 def check_cyclical_monotonicity(

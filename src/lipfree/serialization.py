@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -64,17 +65,31 @@ def parse_rational(value, where: str = "value") -> Fraction:
     )
 
 
+def _any_digits(convert) -> str:
+    """``convert()`` with the int digit cap lifted: it guards parsing, not results."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return convert()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def render_rational(value: Fraction) -> int | str:
     """Canonical rendering: bare integer when q = 1, else 'p/q' in lowest terms."""
     value = Fraction(value)
     if value.denominator == 1:
         return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    return _any_digits(lambda: f"{value.numerator}/{value.denominator}")
 
 
 def dumps_canonical(obj) -> str:
     """Byte-stable JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    return _any_digits(
+        lambda: json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
+    ) + "\n"
 
 
 # ---------------------------------------------------------------- documents

@@ -3,11 +3,15 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import lipfree.cli as cli
+from lipfree import differentiability
 from lipfree.serialization import dumps_canonical
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 TRI = {"labels": ["0", "a", "b"], "base": "0", "dist": [[0, 2, 1], [2, 0, 2], [1, 2, 0]]}
 BROKEN = {"labels": ["0", "1", "2"], "base": "0", "dist": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}
@@ -296,6 +300,31 @@ class TestReports:
         assert report["bound"] == 90
         assert report["verified"] is True
 
+    def test_stability_solves_the_family_once(self, capsys, monkeypatch):
+        calls = {"decide": 0, "stability_bound": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name, getattr(differentiability, name))
+            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(differentiability, name, wrapper)
+        code, out, _ = run(
+            capsys,
+            "stability",
+            "--space", str(INPUTS / "star3.json"),
+            "--system", str(INPUTS / "star3_sys.json"),
+            "--function", str(INPUTS / "star3_g_near.json"),
+            "--eps", "1/16",
+        )
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+        assert calls == {"decide": 1, "stability_bound": 1}
+
     def test_coverage_prefix(self, capsys, tmp_path):
         star = {
             "labels": ["0", "1", "2"],
@@ -396,6 +425,34 @@ class TestInternalFaults:
         assert code == 2
         assert out == ""
         assert "internal error" not in err
+
+
+class TestLongResults:
+    # int() refuses more digits than this (0 means no limit)
+    DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    @pytest.mark.skipif(not DIGITS, reason="no int digit limit")
+    @pytest.mark.parametrize("den", [1, 7])
+    def test_exact_norm_longer_than_the_digit_limit_prints(self, capsys, tmp_path, den):
+        # each input number is within the limit, their product is not
+        digits = self.DIGITS * 3 // 4
+        dist, coeff = 10 ** (digits - 1), int("3" * digits)
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"labels": ["0", "1"], "base": "0",
+                                     "dist": [[0, dist], [dist, 0]]}))
+        elem = tmp_path / "elem.json"
+        elem.write_text(json.dumps({"coeffs": {"1": f"{coeff}/{den}"}}))
+        code, out, err = run(capsys, "norm", "--space", str(space), "--element", str(elem))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == self.DIGITS
+        value = Fraction(coeff * dist, den)
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(value) if den == 1 else f'"{value}"'
+        finally:
+            sys.set_int_max_str_digits(self.DIGITS)
+        assert f'"value": {expected}\n' in out
+        assert len(expected) > self.DIGITS
 
 
 def test_public_api_exports_no_submodules():

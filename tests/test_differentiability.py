@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lipfree import (
+    CertificateMismatchError,
+    DiffVerdict,
     InputError,
     NonUniqueOnN,
     NotAttaining,
@@ -22,16 +24,19 @@ from lipfree import (
     closure,
     coverage_eps_prefix,
     decide,
+    dual_vertices,
     extend_lower,
     extend_upper,
     gen_c0_truncation,
     gen_line,
+    gen_random,
     gen_star,
     l1_basis_check,
     make_function,
     min_coverage_slack,
     recheck_verdict,
     stability_bound,
+    to_point_masses,
     verify_stability,
 )
 from lipfree import differentiability
@@ -163,6 +168,81 @@ class TestDecide:
             extensions_agree = upper.values == lower.values
             frechet = decide(space, system).kind is VerdictKind.FRECHET
             assert frechet == (rigid and extensions_agree)
+
+
+def frechet_candidates(space, system):
+    """Frechet verdicts built from every norming dual vertex that has a coverage over N.
+
+    Each point gets the first pair (s, t) of N, s != t, with
+    f(t) - f(s) = d(t, s) whose segment contains it.
+    """
+    N = sorted({p for pair in system.pairs for p in pair})
+    element = to_point_masses(space, system)
+    d = space.dist
+    for vec in dual_vertices(space):
+        pairing = sum((c * vec[p] for p, c in element.coeffs.items()), Fraction(0))
+        if pairing != system.total_weight:
+            continue
+        tight = [(s, t) for s in N for t in N if s != t and vec[t] - vec[s] == d[t][s]]
+        coverage = {}
+        for p in space.points():
+            hit = next(((s, t) for s, t in tight if d[s][p] + d[t][p] == d[s][t]), None)
+            if hit is None:
+                break
+            coverage[p] = hit
+        else:
+            yield DiffVerdict(kind=VerdictKind.FRECHET,
+                              norming=make_function(space, vec), coverage=coverage)
+
+
+class TestFrechetRecheck:
+    """A Frechet verdict is re-checked as a proof that f is the only norming function."""
+
+    def test_forged_verdict_on_non_unique_family_rejected(self):
+        # line 0-1-2-3 with (1,0) and (3,2): f = position norms both pairs and
+        # is tight on (0, 3), whose segment is the whole line, but the gap
+        # between the pairs is free
+        line, system = non_unique_fixture()
+        assert decide(line, system).failure == NonUniqueOnN(pair=(0, 1))
+        forged = DiffVerdict(kind=VerdictKind.FRECHET,
+                             norming=make_function(line, [0, 1, 2, 3]),
+                             coverage={p: (0, 3) for p in line.points()})
+        with pytest.raises(CertificateMismatchError, match="not unique on N"):
+            recheck_verdict(line, system, forged)
+
+    def test_forged_coverage_pair_outside_n_rejected(self):
+        # line 0-1-2 with the single pair (1,0): point 2 lies only on segments
+        # that leave N = {0, 1}, where a norming function need not be tight
+        line = gen_line(3)
+        system = build_system(line, [(1, 0)], [1])
+        assert decide(line, system).failure == Uncovered(point=2)
+        forged = DiffVerdict(kind=VerdictKind.FRECHET,
+                             norming=make_function(line, [0, 1, 2]),
+                             coverage={0: (0, 1), 1: (0, 1), 2: (0, 2)})
+        with pytest.raises(CertificateMismatchError, match="no tight pair of N"):
+            recheck_verdict(line, system, forged)
+
+    def test_vertex_candidates_pass_iff_norming_is_unique(self):
+        rng = random.Random(504)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randint(3, 6)
+            if rng.random() < 0.5:
+                space = gen_line(n)
+            else:
+                space = gen_random(n, rng.randrange(2**30), "near-degenerate")
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+            system = build_system(space, pairs, [Fraction(1, len(pairs))] * len(pairs))
+            unique = brute_norming_uniqueness(space, system)
+            for verdict in frechet_candidates(space, system):
+                try:
+                    recheck_verdict(space, system, verdict)
+                    passed = True
+                except CertificateMismatchError:
+                    passed = False
+                assert passed == unique, (space, system, verdict)
+                outcomes[passed] += 1
+        assert outcomes[True] >= 40 and outcomes[False] >= 5, outcomes
 
 
 class TestGateauxEps:

@@ -6,7 +6,8 @@ to integers over one common denominator. Each is compared here with a
 plain-Fraction reference on random matrices whose denominators are mixed and
 go up to 10**6, with negative entries where the input allows them. The flow
 is also checked to be the transport plan itself: every leg runs from a supply
-point to a demand point.
+point to a demand point. The closure's rigid pairs are checked against
+mutual reachability over the arcs tight under its own alphas.
 """
 
 from fractions import Fraction
@@ -33,6 +34,7 @@ from lipfree import (
 from lipfree.generators import repair_to_metric
 from lipfree.metric import floyd_warshall, scale_to_integers
 from lipfree.norming import lipschitz_constant
+from lipfree.potentials import tight_rigid_pairs
 from lipfree.transport import _balances, _dijkstra
 
 SETTINGS = settings(
@@ -89,12 +91,24 @@ def reference_closure(beta):
     return tuple(tuple(row) for row in B)
 
 
-def path_of(via, i, j):
-    """The minimal i -> j path that ``floyd_warshall``'s ``via`` describes."""
-    k = via[i][j]
-    if k is None:
-        return [i, j]
-    return path_of(via, i, k) + path_of(via, k, j)[1:]
+def reference_tight_pairs(beta, alphas):
+    """Index pairs j < k joined both ways by tight arcs, by depth-first search."""
+    n = len(beta)
+
+    def reach(start):
+        seen, stack = {start}, [start]
+        while stack:
+            k = stack.pop()
+            for j in range(n):
+                if j not in seen and alphas[k] == alphas[j] + beta[k][j]:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    sets = [reach(k) for k in range(n)]
+    return frozenset(
+        (j, k) for j in range(n) for k in range(j + 1, n) if k in sets[j] and j in sets[k]
+    )
 
 
 def reference_triangles(m):
@@ -245,15 +259,18 @@ def test_closure_matches_fraction_reference(beta):
 def test_floyd_warshall_matches_fraction_reference(beta):
     assume(reference_negative_cycle(beta) is None)
     den, rows = scale_to_integers(beta)
-    via = floyd_warshall(rows)
+    assert floyd_warshall(rows) is None
     B = reference_closure(beta)
     assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == B
-    n = len(beta)
-    for i in range(n):
-        for j in range(n):
-            path = path_of(via, i, j)
-            assert path[0] == i and path[-1] == j
-            assert sum((beta[a][b] for a, b in zip(path, path[1:])), Fraction(0)) == B[i][j]
+
+
+@SETTINGS
+@given(beta_matrices())
+def test_rigid_pairs_are_mutual_tight_reachability(beta):
+    result = closure(BetaMatrix(beta=beta))
+    assume(not isinstance(result, NegativeCycleWitness))
+    tight = tight_rigid_pairs(result.beta, result.alphas)
+    assert tight == reference_tight_pairs(beta, result.alphas) == result.rigid_pairs
 
 
 @SETTINGS

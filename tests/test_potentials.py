@@ -1,4 +1,4 @@
-"""Tests for the shortest-path closure, witnesses, and rigid chains."""
+"""Tests for the shortest-path closure, witnesses, and rigid pairs."""
 
 import random
 from fractions import Fraction
@@ -18,8 +18,8 @@ from lipfree import (
     cycle_sum,
     gen_star,
     recheck_witness,
-    rigid_chain,
 )
+from lipfree.potentials import tight_rigid_pairs
 from _instances import random_space, random_system
 
 TRI = build_space(["0", "a", "b"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]], "0")
@@ -183,21 +183,30 @@ class TestClosure:
             assert len(diffs) == 1
 
 
-class TestRigidChain:
-    def test_zero_matrix_direct_two_cycle(self):
-        table = closure(zero_beta(4))
-        assert rigid_chain(table, 1, 3) == (1, 3)
+class TestTightRigidPairs:
+    """``tight_rigid_pairs`` on a table's own alphas gives its rigid pairs."""
 
-    def test_absent_for_non_rigid_pair(self):
+    @staticmethod
+    def pairs_of(table):
+        return tight_rigid_pairs(table.beta, table.alphas)
+
+    def test_zero_matrix_all_pairs(self):
+        table = closure(zero_beta(4))
+        every = frozenset((j, k) for j in range(4) for k in range(j + 1, 4))
+        assert self.pairs_of(table) == every == table.rigid_pairs
+
+    def test_non_rigid_two_by_two(self):
         table = closure(BetaMatrix(((0, 1), (1, 0))))
-        assert rigid_chain(table, 0, 1) is None
+        # only the arc 1 -> 0 is tight: alphas = (0, 1) and 1 = 0 + beta[1][0]
+        assert table.alphas == (0, 1)
+        assert self.pairs_of(table) == frozenset() == table.rigid_pairs
 
     def test_star_anchored_pairs(self):
         star = gen_star(3)
         table = closure(beta_matrix(star, [(1, 0), (2, 0), (3, 0)]))
-        assert rigid_chain(table, 0, 2) == (0, 2)
+        assert self.pairs_of(table) == {(0, 1), (0, 2), (1, 2)} == table.rigid_pairs
 
-    def test_chain_sums_to_zero_and_contains_both(self):
+    def test_matches_closure_on_random_families(self):
         rng = random.Random(91)
         found = 0
         while found < 25:
@@ -206,22 +215,15 @@ class TestRigidChain:
             result = closure(beta_matrix(space, system))
             if not isinstance(result, PotentialTable) or not result.rigid_pairs:
                 continue
-            j, k = sorted(result.rigid_pairs)[0]
-            chain = rigid_chain(result, j, k)
-            assert chain is not None
-            assert chain[0] == j and k in chain
-            assert cycle_sum(result.beta, chain) == 0
+            assert self.pairs_of(result) == result.rigid_pairs
+            shifted = [a + Fraction(5, 3) for a in result.alphas]
+            assert tight_rigid_pairs(result.beta, shifted) == result.rigid_pairs
             found += 1
 
-    def test_equal_indices_rejected(self):
-        table = closure(zero_beta(2))
-        with pytest.raises(InputError):
-            rigid_chain(table, 1, 1)
-
-    def test_degenerate_rigidity_without_simple_cycle(self):
+    def test_degenerate_rigidity_through_repeated_middle(self):
         # two zero-sum 2-cycles sharing the middle index make {0, 2} rigid,
-        # yet every simple cycle through both ends has positive sum; the
-        # certificate is then a zero-sum closed walk that repeats the middle
+        # yet every simple cycle through both ends has positive sum; 0 and 2
+        # reach each other only through the middle
         beta = BetaMatrix(
             (
                 (Fraction(0), Fraction(1), Fraction(10)),
@@ -231,11 +233,11 @@ class TestRigidChain:
         )
         table = closure(beta)
         assert isinstance(table, PotentialTable)
-        assert (0, 2) in table.rigid_pairs
-        chain = rigid_chain(table, 0, 2)
-        assert chain[0] == 0 and 2 in chain
-        assert cycle_sum(beta.beta, chain) == 0
-        assert len(set(chain)) < len(chain)
+        alphas = table.alphas
+        tight = {(k, j) for k in range(3) for j in range(3)
+                 if k != j and alphas[k] == alphas[j] + beta.beta[k][j]}
+        assert tight == {(0, 1), (1, 0), (1, 2), (2, 1)}
+        assert self.pairs_of(table) == {(0, 1), (0, 2), (1, 2)} == table.rigid_pairs
 
 
 class TestCyclicalMonotonicity:

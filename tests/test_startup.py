@@ -37,7 +37,6 @@ PUBLIC = [
     "brute_cycles", "brute_dual_norm", "brute_norming_uniqueness", "dual_vertices",
     "MonotonicityVerdict", "NegativeCycleWitness", "PotentialTable",
     "check_cyclical_monotonicity", "closure", "cycle_sum", "recheck_witness",
-    "rigid_chain",
     "TransportCertificate", "attains", "decompose_to_molecules", "dual_objective",
     "free_norm", "recheck_certificate",
 ]
