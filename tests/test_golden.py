@@ -6,7 +6,9 @@ have mixed denominators, so any arithmetic change inside norms, witnesses,
 potentials or verdicts shows up as a byte difference. The last three pin
 ``--oracle`` branches the others miss: a negative cycle under ``potentials``,
 and the vertex and cycle oracles at their size caps. Four more run
-``stability`` with a candidate function. Inputs live in
+``stability`` with a candidate function, and two run ``l1-check`` on
+11-point stars shaped like the benchmark's orient-l1 instances, one
+isometric and one failing first at orientation rank 256. Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -77,6 +79,11 @@ CASES = [
                                "--function", "{star3_g_steep}", "--eps", "1/16"], 2),
     ("stability-star3-off-base", ["stability", "--space", "{star3}", "--system", "{star3_sys}",
                                   "--function", "{star3_g_off_base}", "--eps", "1/16"], 2),
+    # ten anchored pairs: all 512 orientations, and a short pair (1, 2) that
+    # first fails with the second pair flipped alone
+    ("l1-check-star10", ["l1-check", "--space", "{star10}", "--system", "{star10_pairs}"], 0),
+    ("l1-check-star10-short12", ["l1-check", "--space", "{star10_short12}",
+                                 "--system", "{star10_pairs}"], 1),
 ]
 
 
@@ -152,6 +159,14 @@ def input_docs():
     docs["star8_short"] = space_to_doc(star8_short)
     docs["star8_short_pairs"] = {"pairs": [["5", "0"], ["2", "0"], ["7", "0"], ["0", "1"],
                                            ["4", "0"], ["8", "0"], ["3", "0"], ["6", "0"]]}
+
+    star10 = gen_star(10)
+    docs["star10"] = space_to_doc(star10)
+    short12 = [list(row) for row in star10.dist]
+    short12[1][2] = short12[2][1] = Fraction(3, 2)
+    docs["star10_short12"] = space_to_doc(build_space(list(star10.labels), short12, "0"))
+    docs["star10_pairs"] = {"pairs": [[str(p), "0"] for p in range(1, 11)],
+                            "weights": ["1/10"] * 10}
 
     broken = space_to_doc(gen_random(20, 3))
     rng = random.Random("golden-rand20-broken")
