@@ -16,7 +16,9 @@ class Record:
     same class only, the matching hash (a ``TypeError`` when a field holds a
     dict), a ``Name(field=value, ...)`` repr, ``__match_args__`` and
     ``replace``. Assigning or deleting an attribute raises ``AttributeError``;
-    ``__post_init__`` may normalise a field with ``object.__setattr__``.
+    ``__post_init__`` may normalise a field with ``object.__setattr__``. A
+    ``functools.cached_property`` writes the instance ``__dict__`` directly,
+    so it works too, and equality, hash and repr never read it.
     """
 
     __match_args__: tuple[str, ...] = ()

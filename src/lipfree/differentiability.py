@@ -22,9 +22,10 @@ from .errors import (
     InputError,
     NotAttainingError,
     ResourceLimitError,
+    exact,
 )
 from .metric import FiniteMetricSpace, positive_eps
-from .molecules import BetaMatrix, MoleculeSystem, Pair, beta_matrix
+from .molecules import MoleculeSystem, Pair, beta_matrix
 from .norming import (
     LipschitzFunction,
     build_on_N,
@@ -131,7 +132,7 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
         raise InputError("differentiability requires a space with >= 2 points")
     if not system.normalized:
         raise InputError(
-            f"system weights must sum to 1 exactly, got {system.total_weight}"
+            f"system weights must sum to 1 exactly, got {exact(system.total_weight)}"
         )
     result = closure(beta_matrix(space, system.pairs))
     if isinstance(result, NegativeCycleWitness):
@@ -251,7 +252,8 @@ def l1_basis_check(
     Beta is built once over the pairs followed by their reversals, so pair j
     reversed is row and column j + n. Reversing a pair keeps its length,
     hence each pattern's beta is the submatrix on the indices j + n * flip_j,
-    equal entry for entry to the beta of the oriented pairs.
+    equal entry for entry to the beta of the oriented pairs. ``restrict``
+    also cuts its integer rows out of the one scaled form of that beta.
     """
     pairs = tuple((int(x), int(y)) for x, y in pairs)
     n = len(pairs)
@@ -261,12 +263,10 @@ def l1_basis_check(
         raise ResourceLimitError(
             f"l1 basis check is exponential; cap is {max_pairs} pairs, got {n}"
         )
-    both = beta_matrix(space, pairs + tuple((y, x) for x, y in pairs)).beta
+    both = beta_matrix(space, pairs + tuple((y, x) for x, y in pairs))
     for flips in product((False, True), repeat=n - 1):
         orientation = (False,) + flips
-        index = [j + n * flip for j, flip in enumerate(orientation)]
-        rows = tuple(tuple(both[j][k] for k in index) for j in index)
-        result = closure(BetaMatrix(beta=rows))
+        result = closure(both.restrict([j + n * flip for j, flip in enumerate(orientation)]))
         if isinstance(result, NegativeCycleWitness):
             return L1Verdict(
                 isometric=False, orientation=orientation, witness=result
@@ -314,7 +314,7 @@ def stability_holds(
     eps = positive_eps(eps)
     lip = lipschitz_constant(space, g.values)
     if lip > 1:
-        raise InputError(f"candidate function has Lipschitz constant {lip} > 1")
+        raise InputError(f"candidate function has Lipschitz constant {exact(lip)} > 1")
     if g.values[space.base] != 0:
         raise InputError("candidate function must vanish at the base point")
     g_mu = sum(

@@ -1,4 +1,28 @@
-"""Exception types shared across the library, mapped to CLI exit codes."""
+"""Exception types shared across the library, mapped to CLI exit codes.
+
+Python refuses to convert an int of more than ``sys.get_int_max_str_digits()``
+digits to text. The cap guards parsing, not results, so every exact value
+that output or a message quotes is converted with the cap lifted.
+"""
+
+import sys
+
+
+def any_digits(convert) -> str:
+    """``convert()`` with the int digit cap lifted, and restored afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return convert()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def exact(value) -> str:
+    """``str(value)`` of an exact number of any length, for a message."""
+    return any_digits(lambda: str(value))
 
 
 class LipfreeError(Exception):
@@ -29,7 +53,7 @@ class NotAttainingError(LipfreeError):
         self.witness = witness
         super().__init__(
             f"family is not cyclically monotone: cycle {list(witness.cycle)} "
-            f"has slack {witness.sum}"
+            f"has slack {exact(witness.sum)}"
         )
 
 

@@ -9,11 +9,12 @@ expansion into signed point masses with the base point eliminated.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from ._record import Record
 from .errors import InputError
-from .metric import FiniteMetricSpace, as_fraction
+from .metric import FiniteMetricSpace, as_fraction, scale_to_integers
 
 Pair = tuple[int, int]
 
@@ -37,7 +38,11 @@ class MoleculeSystem(Record):
 
 
 class BetaMatrix(Record):
-    """Square rational matrix with zero diagonal, indexed by pair positions."""
+    """Square rational matrix with zero diagonal, indexed by pair positions.
+
+    ``scaled`` is the same matrix over a common denominator, as integers;
+    it is worked out on first read and shared by every ``restrict``.
+    """
 
     beta: tuple[tuple[Fraction, ...], ...]
 
@@ -57,6 +62,30 @@ class BetaMatrix(Record):
     @property
     def size(self) -> int:
         return len(self.beta)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(den, rows)`` with ``rows[j][k] = beta[j][k] * den``, all integers."""
+        den, rows = scale_to_integers(self.beta)
+        return den, tuple(map(tuple, rows))
+
+    def restrict(self, index: Sequence[int]) -> BetaMatrix:
+        """The principal submatrix on ``index``, together with its integer rows.
+
+        A principal submatrix of a valid beta is valid, so no entry is checked
+        again, and the integer rows keep this matrix's denominator: a common
+        multiple of the submatrix's denominators takes the same branches in
+        every sum comparison and gives the same Fractions once divided back.
+        """
+
+        def pick(rows):
+            return tuple(tuple(map(rows[j].__getitem__, index)) for j in index)
+
+        den, scaled = self.scaled
+        sub = object.__new__(BetaMatrix)
+        object.__setattr__(sub, "beta", pick(self.beta))
+        object.__setattr__(sub, "scaled", (den, pick(scaled)))
+        return sub
 
 
 class PointMassElement(Record):

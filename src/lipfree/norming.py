@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import Record
-from .errors import CertificateMismatchError, InputError
+from .errors import CertificateMismatchError, InputError, exact
 from .metric import FiniteMetricSpace
 from .molecules import MoleculeSystem, Pair
 from .potentials import PotentialTable
@@ -85,7 +85,8 @@ def build_on_N(
         old = values.get(point)
         if old is not None and old != value:
             raise CertificateMismatchError(
-                f"conflicting assignments at point {point} ({what}): {old} vs {value}"
+                f"conflicting assignments at point {point} ({what}): "
+                f"{exact(old)} vs {exact(value)}"
             )
         values[point] = value
 
@@ -110,7 +111,7 @@ def _check_extendable(space: FiniteMetricSpace, partial: PartialFunction):
             if gap > space.d(p, q):
                 raise InputError(
                     f"partial function is not 1-Lipschitz on its domain: "
-                    f"|f({p}) - f({q})| = {gap} > d = {space.d(p, q)}"
+                    f"|f({p}) - f({q})| = {exact(gap)} > d = {exact(space.d(p, q))}"
                 )
 
 
@@ -154,7 +155,7 @@ def verify_norming(
     """
     actual = lipschitz_constant(space, f.values)
     if actual > 1:
-        raise InputError(f"function has Lipschitz constant {actual} > 1")
+        raise InputError(f"function has Lipschitz constant {exact(actual)} > 1")
     return all(
         f.values[x] - f.values[y] == space.d(x, y) for x, y in system.pairs
     )

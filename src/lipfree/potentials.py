@@ -6,16 +6,18 @@ additive constant iff every unordered index pair {j,k} is *rigid*, meaning
 B[j][k] + B[k][j] = 0 where B is the shortest-path closure of beta. Both
 facts are decided here exactly, on beta scaled to common-denominator
 integers: Bellman-Ford extracts a simple negative cycle when one exists,
-Floyd-Warshall computes B otherwise.
+Floyd-Warshall computes B otherwise. B and the alphas become Fractions only
+when they are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from ._record import Record
-from .errors import CertificateMismatchError, InputError
+from .errors import CertificateMismatchError, InputError, exact
 from .metric import FiniteMetricSpace, floyd_warshall, scale_to_integers
 from .molecules import BetaMatrix, beta_matrix
 
@@ -36,14 +38,34 @@ class PotentialTable(Record):
     ``rigid_pairs`` holds every unordered pair {j,k} (stored as (j,k), j<k)
     with B[j][k]+B[k][j]=0; the solution is unique up to a constant iff all
     pairs are rigid.
+
+    B and alphas are functions of beta, so they are not fields: they are
+    built on first read from ``_closed``, the integer closure over some
+    common denominator, which ``closure`` hands over and which is otherwise
+    computed from beta. Tables of one beta are equal whatever that
+    denominator was.
     """
 
     beta: Matrix
-    B: Matrix
-    alphas: tuple[Fraction, ...]
     anchor: int
     globally_unique: bool
     rigid_pairs: frozenset[tuple[int, int]]
+
+    @cached_property
+    def _closed(self) -> tuple[int, list[list[int]]]:
+        den, rows = scale_to_integers(self.beta)
+        floyd_warshall(rows)
+        return den, rows
+
+    @cached_property
+    def B(self) -> Matrix:
+        den, rows = self._closed
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+    @cached_property
+    def alphas(self) -> tuple[Fraction, ...]:
+        den, rows = self._closed
+        return tuple(Fraction(row[self.anchor], den) for row in rows)
 
 
 class MonotonicityVerdict(Record):
@@ -104,16 +126,17 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
 
     Returns a NegativeCycleWitness when some cycle has negative arc sum, else
     the full table with B computed by an exact Floyd-Warshall triple loop.
-    Both searches run on beta scaled to integers over its common
+    Both searches run on ``beta.scaled``, beta as integers over a common
     denominator, which takes the same branches as the rational matrix; the
-    witness sum is taken on the rational beta and B is converted back.
+    witness sum is taken on the rational beta, and the table converts B and
+    the alphas back when they are read.
     """
     rows = beta.beta
     n = len(rows)
     if n == 0:
         raise InputError("beta matrix must be nonempty")
-    den, B = scale_to_integers(rows)
-    seen = _find_negative_cycle(B)
+    den, scaled = beta.scaled
+    seen = _find_negative_cycle(scaled)
     if seen is not None:
         cycle = _rotate_min_first(seen)
         total = cycle_sum(rows, cycle)
@@ -122,6 +145,7 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
                 "predecessor walk must produce a negative cycle"
             )
         return NegativeCycleWitness(cycle=cycle, sum=total)
+    B = [list(row) for row in scaled]
     floyd_warshall(B)
     if any(B[j][j] != 0 for j in range(n)):
         raise CertificateMismatchError(
@@ -133,16 +157,14 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
         for k in range(j + 1, n)
         if B[j][k] + B[k][j] == 0
     )
-    closed = tuple(tuple(Fraction(x, den) for x in row) for row in B)
-    alphas = tuple(row[0] for row in closed)
-    return PotentialTable(
+    table = PotentialTable(
         beta=rows,
-        B=closed,
-        alphas=alphas,
         anchor=0,
         globally_unique=len(rigid) == n * (n - 1) // 2,
         rigid_pairs=rigid,
     )
+    object.__setattr__(table, "_closed", (den, B))
+    return table
 
 
 def tight_rigid_pairs(
@@ -215,5 +237,6 @@ def recheck_witness(beta: BetaMatrix, witness: NegativeCycleWitness) -> None:
     total = cycle_sum(beta.beta, cyc)
     if total != witness.sum or total >= 0:
         raise CertificateMismatchError(
-            f"witness sum mismatch: recomputed {total}, stored {witness.sum}"
+            f"witness sum mismatch: recomputed {exact(total)}, "
+            f"stored {exact(witness.sum)}"
         )

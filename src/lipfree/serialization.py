@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, any_digits, exact
 from .metric import FiniteMetricSpace, build_space
 from .molecules import (
     MoleculeSystem,
@@ -65,29 +64,17 @@ def parse_rational(value, where: str = "value") -> Fraction:
     )
 
 
-def _any_digits(convert) -> str:
-    """``convert()`` with the int digit cap lifted: it guards parsing, not results."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return convert()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert()
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def render_rational(value: Fraction) -> int | str:
     """Canonical rendering: bare integer when q = 1, else 'p/q' in lowest terms."""
     value = Fraction(value)
     if value.denominator == 1:
         return int(value)
-    return _any_digits(lambda: f"{value.numerator}/{value.denominator}")
+    return exact(value)
 
 
 def dumps_canonical(obj) -> str:
     """Byte-stable JSON: sorted keys, fixed separators, trailing newline."""
-    return _any_digits(
+    return any_digits(
         lambda: json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
     ) + "\n"
 
@@ -218,7 +205,8 @@ def load_function_doc(space: FiniteMetricSpace, doc: dict) -> LipschitzFunction:
         stated = parse_rational(doc["lip"], "lip")
         if stated != out.lip_constant:
             raise InputError(
-                f"stated Lipschitz constant {stated} != recomputed {out.lip_constant}"
+                f"stated Lipschitz constant {exact(stated)} != recomputed "
+                f"{exact(out.lip_constant)}"
             )
     return out
 

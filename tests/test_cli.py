@@ -455,6 +455,75 @@ class TestLongResults:
         assert len(expected) > self.DIGITS
 
 
+    @pytest.mark.skipif(not DIGITS, reason="no int digit limit")
+    def test_long_value_in_an_input_error_message_is_exit_two(self, capsys, tmp_path):
+        # each weight is within the limit; their sum, which is not 1, is not
+        weights = ["1/1" + "0" * (self.DIGITS * 3 // 5) + end for end in "13"]
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"labels": ["0", "1"], "base": "0",
+                                     "dist": [[0, 1], [1, 0]]}))
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"pairs": [["1", "0"], ["1", "0"]], "weights": weights}))
+        code, out, err = run(capsys, "decide", "--space", str(space), "--system", str(system))
+        assert (code, out) == (2, "")
+        assert sys.get_int_max_str_digits() == self.DIGITS
+        sys.set_int_max_str_digits(0)
+        try:
+            total = str(sum(Fraction(int(w[2:])) ** -1 for w in weights))
+        finally:
+            sys.set_int_max_str_digits(self.DIGITS)
+        assert err == f"lipfree: system weights must sum to 1 exactly, got {total}\n"
+        assert len(total) > self.DIGITS
+
+
+    @staticmethod
+    def long_messages():
+        """Calls whose error message quotes an exact value of more digits than the limit."""
+        from lipfree import build_space, build_system, closure, make_function, verify_norming
+        from lipfree.molecules import BetaMatrix
+        from lipfree.norming import PartialFunction, build_on_N, extend_upper
+        from lipfree.potentials import NegativeCycleWitness, recheck_witness
+        from lipfree.serialization import load_function_doc
+
+        digits = TestLongResults.DIGITS
+        steep = Fraction(10**digits + 1, 10**digits)  # just above 1
+        unit = build_space(["0", "1"], [[0, 1], [1, 0]], "0")
+        far = build_space(["0", "1"], [[0, steep], [steep, 0]], "0")
+        system = build_system(unit, [(1, 0)], [1])
+        g = make_function(unit, [0, steep])
+        # a distance and a value within the limit whose quotient is not
+        wide = 10 ** (digits * 3 // 4)
+        long_space = build_space(["0", "1"], [[0, wide + 1], [wide + 1, 0]], "0")
+        g_doc = {"values": {"0": 0, "1": f"1/{wide + 3}"}, "lip": 1}
+        return {
+            "verify_norming": lambda: verify_norming(unit, system, g),
+            "stability_holds": lambda: differentiability.verify_stability(unit, system, g, 1),
+            "extend_upper": lambda: extend_upper(
+                unit, PartialFunction(domain=(0, 1), values={0: Fraction(0), 1: steep})),
+            "build_on_N": lambda: build_on_N(
+                far, [(1, 0), (0, 1)], closure(BetaMatrix(beta=((0, 0), (0, 0))))),
+            "recheck_witness": lambda: recheck_witness(
+                BetaMatrix(beta=((0, -steep), (0, 0))),
+                NegativeCycleWitness(cycle=(0, 1), sum=Fraction(-1))),
+            "load_function_doc": lambda: load_function_doc(long_space, g_doc),
+        }
+
+    @pytest.mark.skipif(not DIGITS, reason="no int digit limit")
+    @pytest.mark.parametrize("call", ["verify_norming", "stability_holds", "extend_upper",
+                                      "build_on_N", "recheck_witness", "load_function_doc"])
+    def test_library_messages_quote_values_of_any_length(self, call):
+        from lipfree.errors import LipfreeError
+
+        with pytest.raises(LipfreeError) as raised:
+            self.long_messages()[call]()
+        sys.set_int_max_str_digits(0)
+        try:
+            message = str(raised.value)
+        finally:
+            sys.set_int_max_str_digits(self.DIGITS)
+        assert len(message) > self.DIGITS
+
+
 def test_public_api_exports_no_submodules():
     import types
 

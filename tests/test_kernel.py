@@ -7,7 +7,9 @@ plain-Fraction reference on random matrices whose denominators are mixed and
 go up to 10**6, with negative entries where the input allows them. The flow
 is also checked to be the transport plan itself: every leg runs from a supply
 point to a demand point. The closure's rigid pairs are checked against
-mutual reachability over the arcs tight under its own alphas.
+mutual reachability over the arcs tight under its own alphas. A principal
+submatrix taken with ``BetaMatrix.restrict`` keeps its parent's denominator
+and must close exactly as the same submatrix built afresh.
 """
 
 from fractions import Fraction
@@ -34,7 +36,7 @@ from lipfree import (
 from lipfree.generators import repair_to_metric
 from lipfree.metric import floyd_warshall, scale_to_integers
 from lipfree.norming import lipschitz_constant
-from lipfree.potentials import tight_rigid_pairs
+from lipfree.potentials import PotentialTable, tight_rigid_pairs
 from lipfree.transport import _balances, _dijkstra
 
 SETTINGS = settings(
@@ -213,6 +215,23 @@ def spaces_with_pairs(draw):
     return space, pairs
 
 
+@st.composite
+def betas_with_index(draw):
+    """A beta drawn by ``beta_matrices`` and distinct indices into it, in any order."""
+    beta = draw(beta_matrices())
+    index = draw(st.permutations(range(len(beta))).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda m: order[:m])))
+    return beta, index
+
+
+def eager_table(beta):
+    """B and alphas converted from the integer closure over beta's own denominator."""
+    den, rows = scale_to_integers(beta)
+    floyd_warshall(rows)
+    B = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+    return B, tuple(row[0] for row in B)
+
+
 def reference_l1(space, pairs):
     """The orientation walk with beta rebuilt from the oriented pairs each time."""
     for flips in product((False, True), repeat=len(pairs) - 1):
@@ -341,3 +360,46 @@ def test_l1_walk_matches_rebuilt_beta(case):
     if witness is not None:
         assert verdict.witness.cycle == witness.cycle
         assert verdict.witness.sum == witness.sum
+
+
+@SETTINGS
+@given(betas_with_index())
+def test_restrict_is_the_submatrix_built_afresh(case):
+    beta, index = case
+    parent = BetaMatrix(beta=beta)
+    sub = [[beta[j][k] for k in index] for j in index]
+    restricted, fresh = parent.restrict(index), BetaMatrix(beta=sub)
+    assert restricted == fresh
+    assert restricted.scaled[0] == parent.scaled[0]
+    assert [[Fraction(x, parent.scaled[0]) for x in row] for row in restricted.scaled[1]] == sub
+    result, expected = closure(restricted), closure(fresh)
+    assert result == expected
+    if isinstance(result, NegativeCycleWitness):
+        assert (result.cycle, result.sum) == (expected.cycle, expected.sum)
+    else:
+        assert (result.B, result.alphas) == (expected.B, expected.alphas) == eager_table(sub)
+        assert (result.rigid_pairs, result.globally_unique) == (
+            expected.rigid_pairs, expected.globally_unique)
+    # the closure works on a copy: the shared integer rows stay as they were
+    assert closure(restricted) == result
+    assert parent.restrict(index).scaled == restricted.scaled
+
+
+@SETTINGS
+@given(beta_matrices())
+def test_tables_of_one_beta_are_equal_at_any_denominator(beta):
+    # an extra index whose arcs cost 1/1000003, a prime no drawn denominator has
+    n = len(beta)
+    far = Fraction(1, 1000003)
+    wide = [row + [far] for row in beta] + [[far] * n + [Fraction(0)]]
+    near, scaled = closure(BetaMatrix(beta=beta)), closure(BetaMatrix(beta=wide).restrict(range(n)))
+    assume(isinstance(near, PotentialTable))
+    assert near._closed[0] != scaled._closed[0]
+    assert near == scaled
+    assert hash(near) == hash(scaled)
+    assert (near.B, near.alphas) == (scaled.B, scaled.alphas) == eager_table(beta)
+    # a table not made by closure computes its integer closure from beta
+    rebuilt = scaled.replace()
+    assert "_closed" not in vars(rebuilt)
+    assert (rebuilt.B, rebuilt.alphas) == eager_table(beta)
+    assert "B=" not in repr(rebuilt) and "alphas=" not in repr(rebuilt)
