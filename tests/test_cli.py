@@ -8,8 +8,13 @@ from pathlib import Path
 import pytest
 
 import lipfree.cli as cli
-from lipfree import differentiability
-from lipfree.serialization import dumps_canonical
+from lipfree import build_space, build_system, closure, differentiability, make_function
+from lipfree import verify_norming
+from lipfree.errors import LipfreeError
+from lipfree.molecules import BetaMatrix
+from lipfree.norming import PartialFunction, build_on_N, extend_upper
+from lipfree.potentials import NegativeCycleWitness, recheck_witness
+from lipfree.serialization import dumps_canonical, load_function_doc
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -479,12 +484,6 @@ class TestLongResults:
     @staticmethod
     def long_messages():
         """Calls whose error message quotes an exact value of more digits than the limit."""
-        from lipfree import build_space, build_system, closure, make_function, verify_norming
-        from lipfree.molecules import BetaMatrix
-        from lipfree.norming import PartialFunction, build_on_N, extend_upper
-        from lipfree.potentials import NegativeCycleWitness, recheck_witness
-        from lipfree.serialization import load_function_doc
-
         digits = TestLongResults.DIGITS
         steep = Fraction(10**digits + 1, 10**digits)  # just above 1
         unit = build_space(["0", "1"], [[0, 1], [1, 0]], "0")
@@ -512,8 +511,6 @@ class TestLongResults:
     @pytest.mark.parametrize("call", ["verify_norming", "stability_holds", "extend_upper",
                                       "build_on_N", "recheck_witness", "load_function_doc"])
     def test_library_messages_quote_values_of_any_length(self, call):
-        from lipfree.errors import LipfreeError
-
         with pytest.raises(LipfreeError) as raised:
             self.long_messages()[call]()
         sys.set_int_max_str_digits(0)
