@@ -459,7 +459,6 @@ class TestLongResults:
         assert f'"value": {expected}\n' in out
         assert len(expected) > self.DIGITS
 
-
     @pytest.mark.skipif(not DIGITS, reason="no int digit limit")
     def test_long_value_in_an_input_error_message_is_exit_two(self, capsys, tmp_path):
         # each weight is within the limit; their sum, which is not 1, is not
@@ -479,7 +478,6 @@ class TestLongResults:
             sys.set_int_max_str_digits(self.DIGITS)
         assert err == f"lipfree: system weights must sum to 1 exactly, got {total}\n"
         assert len(total) > self.DIGITS
-
 
     @staticmethod
     def long_messages():

@@ -380,9 +380,6 @@ def test_restrict_is_the_submatrix_built_afresh(case):
         assert (result.B, result.alphas) == (expected.B, expected.alphas) == eager_table(sub)
         assert (result.rigid_pairs, result.globally_unique) == (
             expected.rigid_pairs, expected.globally_unique)
-    # the closure works on a copy: the shared integer rows stay as they were
-    assert closure(restricted) == result
-    assert parent.restrict(index).scaled == restricted.scaled
 
 
 @SETTINGS
