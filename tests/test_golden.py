@@ -8,7 +8,9 @@ potentials or verdicts shows up as a byte difference. The last three pin
 and the vertex and cycle oracles at their size caps. Four more run
 ``stability`` with a candidate function, and two run ``l1-check`` on
 11-point stars shaped like the benchmark's orient-l1 instances, one
-isometric and one failing first at orientation rank 256. Inputs live in
+isometric and one failing first at orientation rank 256. The last two pin
+a potential table whose rigid pairs are neither none nor all, and an
+``attains`` verdict on the isometric 11-point star. Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -84,6 +86,11 @@ CASES = [
     ("l1-check-star10", ["l1-check", "--space", "{star10}", "--system", "{star10_pairs}"], 0),
     ("l1-check-star10-short12", ["l1-check", "--space", "{star10_short12}",
                                  "--system", "{star10_pairs}"], 1),
+    # five pairs of which only {0, 2} and {1, 3} are rigid, and attainment
+    # on the star whose every orientation is cyclically monotone
+    ("potentials-rand16-rigid", ["potentials", "--space", "{rand16}",
+                                 "--system", "{rand16_rigid_sys}"], 0),
+    ("attains-star10", ["attains", "--space", "{star10}", "--system", "{star10_pairs}"], 0),
 ]
 
 
@@ -196,6 +203,9 @@ def input_docs():
     docs["rand16"] = space_to_doc(rand16)
     docs["rand16_sys"] = system_to_doc(rand16, build_system(
         rand16, [(p, 0) for p in range(1, 16)], _weights(rng, 15, True)))
+    docs["rand16_rigid_sys"] = {
+        "pairs": [["5", "4"], ["13", "7"], ["15", "5"], ["3", "7"], ["6", "10"]],
+        "weights": ["1/5"] * 5}
 
     rand32 = gen_random(32, 13, "near-degenerate")
     rng = random.Random("golden-rand32-sys")
