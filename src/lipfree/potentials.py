@@ -5,9 +5,9 @@ A solution exists iff every cycle of the beta matrix has nonnegative arc sum
 additive constant iff every unordered index pair {j,k} is *rigid*, meaning
 B[j][k] + B[k][j] = 0 where B is the shortest-path closure of beta. Both
 facts are decided here exactly, on beta scaled to common-denominator
-integers: Bellman-Ford extracts a simple negative cycle when one exists,
-Floyd-Warshall computes B otherwise. B and the alphas become Fractions only
-when they are read.
+integers: Bellman-Ford alone decides solvability and extracts a simple
+negative cycle when one exists; Floyd-Warshall computes B only when a table's
+B, alphas or rigid pairs are first read.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ class PotentialTable(Record):
     with B[j][k]+B[k][j]=0; the solution is unique up to a constant iff all
     pairs are rigid.
 
-    B and alphas are functions of beta, so they are not fields: they are
-    built on first read from ``_closed``, the integer closure over some
+    B, alphas, rigid_pairs and globally_unique are functions of beta, so
+    they are not fields: they are built on first read from ``_closed``,
+    Floyd-Warshall run on a copy of ``_scaled``, beta as integers over some
     common denominator, which ``closure`` hands over and which is otherwise
     computed from beta. Tables of one beta are equal whatever that
     denominator was.
@@ -48,13 +49,20 @@ class PotentialTable(Record):
 
     beta: Matrix
     anchor: int
-    globally_unique: bool
-    rigid_pairs: frozenset[tuple[int, int]]
+
+    @cached_property
+    def _scaled(self) -> tuple[int, Sequence[Sequence[int]]]:
+        return scale_to_integers(self.beta)
 
     @cached_property
     def _closed(self) -> tuple[int, list[list[int]]]:
-        den, rows = scale_to_integers(self.beta)
+        den, scaled = self._scaled
+        rows = [list(row) for row in scaled]
         floyd_warshall(rows)
+        if any(row[j] for j, row in enumerate(rows)):
+            raise CertificateMismatchError(
+                "no negative cycles, so closed diagonal is zero"
+            )
         return den, rows
 
     @cached_property
@@ -66,6 +74,17 @@ class PotentialTable(Record):
     def alphas(self) -> tuple[Fraction, ...]:
         den, rows = self._closed
         return tuple(Fraction(row[self.anchor], den) for row in rows)
+
+    @cached_property
+    def rigid_pairs(self) -> frozenset[tuple[int, int]]:
+        B = self._closed[1]
+        pairs = ((j, k) for j in range(len(B)) for k in range(j + 1, len(B)))
+        return frozenset((j, k) for j, k in pairs if B[j][k] + B[k][j] == 0)
+
+    @cached_property
+    def globally_unique(self) -> bool:
+        n = len(self.beta)
+        return len(self.rigid_pairs) == n * (n - 1) // 2
 
 
 class MonotonicityVerdict(Record):
@@ -125,18 +144,15 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
     """Decide solvability of the difference constraints for a beta matrix.
 
     Returns a NegativeCycleWitness when some cycle has negative arc sum, else
-    the full table with B computed by an exact Floyd-Warshall triple loop.
-    Both searches run on ``beta.scaled``, beta as integers over a common
-    denominator, which takes the same branches as the rational matrix; the
-    witness sum is taken on the rational beta, and the table converts B and
-    the alphas back when they are read.
+    the table, which runs Floyd-Warshall only when first read. Bellman-Ford
+    decides on ``beta.scaled``, beta as integers over a common denominator,
+    which takes the same branches as the rational matrix; the witness sum is
+    taken on the rational beta.
     """
     rows = beta.beta
-    n = len(rows)
-    if n == 0:
+    if not rows:
         raise InputError("beta matrix must be nonempty")
-    den, scaled = beta.scaled
-    seen = _find_negative_cycle(scaled)
+    seen = _find_negative_cycle(beta.scaled[1])
     if seen is not None:
         cycle = _rotate_min_first(seen)
         total = cycle_sum(rows, cycle)
@@ -145,25 +161,8 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
                 "predecessor walk must produce a negative cycle"
             )
         return NegativeCycleWitness(cycle=cycle, sum=total)
-    B = [list(row) for row in scaled]
-    floyd_warshall(B)
-    if any(B[j][j] != 0 for j in range(n)):
-        raise CertificateMismatchError(
-            "no negative cycles, so closed diagonal is zero"
-        )
-    rigid = frozenset(
-        (j, k)
-        for j in range(n)
-        for k in range(j + 1, n)
-        if B[j][k] + B[k][j] == 0
-    )
-    table = PotentialTable(
-        beta=rows,
-        anchor=0,
-        globally_unique=len(rigid) == n * (n - 1) // 2,
-        rigid_pairs=rigid,
-    )
-    object.__setattr__(table, "_closed", (den, B))
+    table = PotentialTable(beta=rows, anchor=0)
+    object.__setattr__(table, "_scaled", beta.scaled)
     return table
 
 
