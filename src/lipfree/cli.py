@@ -310,6 +310,8 @@ def cmd_coverage_prefix(args) -> tuple[int, dict]:
 
 
 def cmd_l1_check(args) -> tuple[int, dict]:
+    if args.max_pairs < 1:
+        raise InputError("--max-pairs must be positive")
     space = _load_space(args)
     pairs = load_pairs_doc(space, _read_json(args.system))
     verdict = l1_basis_check(space, pairs, max_pairs=args.max_pairs)

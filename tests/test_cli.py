@@ -186,6 +186,19 @@ class TestExitCodes:
         assert out == ""
         assert "labels" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_l1_pair_cap_below_one_is_input_error(self, capsys, docs, monkeypatch, cap):
+        # refused before any document is read, even a family with no pairs
+        no_pairs = str(Path(docs["tri"]).with_name("no_pairs.json"))
+        Path(no_pairs).write_text(json.dumps({"pairs": []}))
+        assert run(capsys, "l1-check", "--space", docs["tri"], "--system", no_pairs)[0] == 0
+        read = []
+        monkeypatch.setattr(cli, "_read_json", read.append)
+        code, out, err = run(capsys, "l1-check", "--space", docs["tri"],
+                             "--system", no_pairs, "--max-pairs", cap)
+        assert (code, out, read) == (2, "", [])
+        assert "--max-pairs must be positive" in err
+
     def test_point_cap_env(self, capsys, docs, monkeypatch):
         monkeypatch.setenv("LIPFREE_MAX_POINTS", "2")
         code, _, err = run(capsys, "validate", "--space", docs["tri"])

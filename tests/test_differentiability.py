@@ -39,7 +39,7 @@ from lipfree import (
     to_point_masses,
     verify_stability,
 )
-from lipfree import differentiability
+from lipfree import differentiability, potentials
 from _instances import random_space, random_system
 
 TRI = build_space(["0", "a", "b"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]], "0")
@@ -386,6 +386,42 @@ class TestL1BasisCheck:
             shuffled = pairs[:]
             rng.shuffle(shuffled)
             assert l1_basis_check(space, shuffled).isometric == base_verdict
+
+
+class TestFloydWarshallOnRead:
+    """``closure`` decides with Bellman-Ford alone; Floyd-Warshall runs once
+    per table, and only for a caller that reads B, alphas or rigid pairs."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"closure": 0, "floyd_warshall": 0}
+
+        def counting(name, inner):
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        monkeypatch.setattr(differentiability, "closure", counting("closure", closure))
+        monkeypatch.setattr(potentials, "floyd_warshall",
+                            counting("floyd_warshall", potentials.floyd_warshall))
+        return calls
+
+    def test_l1_check_on_an_isometric_star_closes_nothing(self, counts):
+        k = 8
+        verdict = l1_basis_check(gen_star(k), [(n, 0) for n in range(1, k + 1)])
+        assert verdict.isometric
+        assert counts == {"closure": 2 ** (k - 1), "floyd_warshall": 0}
+
+    def test_monotonicity_holds_closes_nothing(self, counts):
+        star, system = star_system(8)
+        assert check_cyclical_monotonicity(star, system.pairs).holds
+        assert counts["floyd_warshall"] == 0
+
+    def test_decide_closes_once(self, counts):
+        star, system = star_system(8)
+        assert decide(star, system).kind is VerdictKind.FRECHET
+        assert counts == {"closure": 1, "floyd_warshall": 1}
 
 
 class TestStability:

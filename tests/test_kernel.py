@@ -7,7 +7,8 @@ plain-Fraction reference on random matrices whose denominators are mixed and
 go up to 10**6, with negative entries where the input allows them. The flow
 is also checked to be the transport plan itself: every leg runs from a supply
 point to a demand point. The closure's rigid pairs are checked against
-mutual reachability over the arcs tight under its own alphas. A principal
+mutual reachability over the arcs tight under its own alphas, and against
+the reference closure whichever of them is read first. A principal
 submatrix taken with ``BetaMatrix.restrict`` keeps its parent's denominator
 and must close exactly as the same submatrix built afresh.
 """
@@ -400,3 +401,24 @@ def test_tables_of_one_beta_are_equal_at_any_denominator(beta):
     assert "_closed" not in vars(rebuilt)
     assert (rebuilt.B, rebuilt.alphas) == eager_table(beta)
     assert "B=" not in repr(rebuilt) and "alphas=" not in repr(rebuilt)
+
+
+@SETTINGS
+@given(beta_matrices(), st.booleans())
+def test_rigid_pairs_on_first_read_match_the_reference(beta, rigid_first):
+    made = closure(BetaMatrix(beta=beta))
+    assume(isinstance(made, PotentialTable))
+    B = reference_closure(beta)
+    n = len(beta)
+    rigid = frozenset(
+        (j, k) for j in range(n) for k in range(j + 1, n) if B[j][k] + B[k][j] == 0
+    )
+    # the table closure made and one rebuilt from beta, each read in either order
+    for table in (made, made.replace()):
+        assert "_closed" not in vars(table)
+        if rigid_first:
+            rigid_pairs, unique, closed = table.rigid_pairs, table.globally_unique, table.B
+        else:
+            closed, rigid_pairs, unique = table.B, table.rigid_pairs, table.globally_unique
+        assert (closed, rigid_pairs, unique) == (B, rigid, len(rigid) == n * (n - 1) // 2)
+        assert "rigid_pairs=" not in repr(table) and "globally_unique=" not in repr(table)
