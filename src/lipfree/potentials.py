@@ -77,9 +77,10 @@ class PotentialTable(Record):
 
     @cached_property
     def rigid_pairs(self) -> frozenset[tuple[int, int]]:
-        B = self._closed[1]
-        pairs = ((j, k) for j in range(len(B)) for k in range(j + 1, len(B)))
-        return frozenset((j, k) for j, k in pairs if B[j][k] + B[k][j] == 0)
+        _, rows = self._closed
+        n = len(rows)
+        pairs = ((j, k) for j in range(n) for k in range(j + 1, n))
+        return frozenset((j, k) for j, k in pairs if rows[j][k] + rows[k][j] == 0)
 
     @cached_property
     def globally_unique(self) -> bool:
@@ -144,7 +145,7 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
     """Decide solvability of the difference constraints for a beta matrix.
 
     Returns a NegativeCycleWitness when some cycle has negative arc sum, else
-    the table, which runs Floyd-Warshall only when first read. Bellman-Ford
+    the table, which runs Floyd-Warshall only when it is read. Bellman-Ford
     decides on ``beta.scaled``, beta as integers over a common denominator,
     which takes the same branches as the rational matrix; the witness sum is
     taken on the rational beta.
