@@ -8,9 +8,13 @@ potentials or verdicts shows up as a byte difference. The last three pin
 and the vertex and cycle oracles at their size caps. Four more run
 ``stability`` with a candidate function, and two run ``l1-check`` on
 11-point stars shaped like the benchmark's orient-l1 instances, one
-isometric and one failing first at orientation rank 256. The last two pin
+isometric and one failing first at orientation rank 256. Two more pin
 a potential table whose rigid pairs are neither none nor all, and an
-``attains`` verdict on the isometric 11-point star. Inputs live in
+``attains`` verdict on the isometric 11-point star. Three pin both
+``norming`` extensions, ``validate``'s theta and diameter, and
+``gateaux-eps`` slacks at an eps whose denominator divides no distance's,
+all on the mixed-denominator spaces; the last runs ``stability`` on a
+family with unequal weights. Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -91,6 +95,16 @@ CASES = [
     ("potentials-rand16-rigid", ["potentials", "--space", "{rand16}",
                                  "--system", "{rand16_rigid_sys}"], 0),
     ("attains-star10", ["attains", "--space", "{star10}", "--system", "{star10_pairs}"], 0),
+    # both extensions, theta and diameter, and eps slacks over mixed
+    # denominators, the eps denominator 61 dividing no distance's
+    ("norming-rand32", ["norming", "--space", "{rand32}", "--system", "{rand32_sys}"], 0),
+    ("validate-rand40", ["validate", "--space", "{rand40}"], 0),
+    ("gateaux-eps-rand32-coprime", ["gateaux-eps", "--space", "{rand32}",
+                                    "--system", "{rand32_sys}", "--eps", "3/61"], 1),
+    # unequal weights: <g, mu> = 999/1000 exceeds 1 - eps * min(w), and the
+    # gap 1/10 is within K * eps only because eps * min(w) bounds every slack
+    ("stability-star2-unequal", ["stability", "--space", "{star2}", "--system", "{star2_sys}",
+                                 "--function", "{star2_g}", "--eps", "1/10000"], 1),
 ]
 
 
@@ -154,7 +168,10 @@ def input_docs():
         "star3_g_zero": {"values": {"0": 0, "1": 0, "2": 0, "3": 0}},
         "star3_g_steep": {"values": {"0": 0, "1": 2, "2": 0, "3": 0}},
         "star3_g_off_base": {"values": {"0": 1, "1": 1, "2": 1, "3": 1}},
+        "star2_sys": {"pairs": [["1", "0"], ["2", "0"]], "weights": ["1/100", "99/100"]},
+        "star2_g": {"values": {"0": 0, "1": "9/10", "2": 1}},
     }
+    docs["star2"] = space_to_doc(gen_star(2))
     for name, space, count in (("star8", star8, 8), ("star5", star5, 5),
                                ("star3", star3, 3), ("c06", c06, 6)):
         docs[name] = space_to_doc(space)
