@@ -10,8 +10,8 @@ Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
 the report, tags it ``"oracle": "agree"`` under ``--oracle`` (every oracle
 check raises before its handler returns) and maps errors to exit codes.
 
-``transport`` and ``oracles`` are imported inside the commands that use
-them, so the other commands do not pay for loading them.
+``transport``, ``oracles`` and ``generators`` are imported inside the
+commands that use them, so the other commands do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .differentiability import (
     stability_holds,
 )
 from .errors import CertificateMismatchError, InputError, LipfreeError
-from .generators import gen_c0_truncation, gen_line, gen_random, gen_star
 from .metric import validate_space
 from .molecules import beta_matrix, to_point_masses
 from .norming import build_on_N, extend_lower, extend_upper
@@ -132,17 +131,19 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 
 def cmd_gen(args) -> tuple[int, dict]:
+    from . import generators
+
     points = args.size + 1 if args.kind in ("star", "c0", "c0_truncation") else args.size
     if points > _max_points():
         raise InputError("generated space exceeds the point cap")
     if args.kind == "star":
-        space = gen_star(args.size)
+        space = generators.gen_star(args.size)
     elif args.kind in ("c0", "c0_truncation"):
-        space = gen_c0_truncation(args.size)
+        space = generators.gen_c0_truncation(args.size)
     elif args.kind == "line":
-        space = gen_line(args.size)
+        space = generators.gen_line(args.size)
     elif args.kind == "random":
-        space = gen_random(args.size, args.seed, args.profile)
+        space = generators.gen_random(args.size, args.seed, args.profile)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown generator kind {args.kind!r}")
     return EXIT_OK, space_to_doc(space)

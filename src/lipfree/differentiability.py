@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     exact,
 )
-from .metric import FiniteMetricSpace, positive_eps
+from .metric import FiniteMetricSpace, common_scale, positive_eps
 from .molecules import MoleculeSystem, Pair, beta_matrix
 from .norming import (
     LipschitzFunction,
@@ -104,26 +104,26 @@ class L1Verdict(Record):
     witness: NegativeCycleWitness | None
 
 
-def _function_slacks(space, partial) -> list[tuple[int, int, Fraction]]:
-    """``(s, t, d(t, s) - (f(t) - f(s)))`` over ordered pairs of distinct points of N.
+def _function_slacks(space, partial, eps=0) -> tuple[int, Sequence[Sequence[int]], list, int]:
+    """``(den, d, slacks, eps)``, all integers over one common denominator ``den``.
 
-    In ``(s, t)`` order; it does not depend on the point to cover, so every
-    coverage question about one family reads this one list.
+    ``d`` is the metric and ``slacks`` lists ``(s, t, d(t, s) - (f(t) - f(s)))``
+    over ordered pairs of distinct points of N, in ``(s, t)`` order; it does
+    not depend on the point to cover, so every coverage question about one
+    family reads this one list.
     """
-    d = space.dist
-    f = partial.values
     N = partial.domain
-    return [(s, t, d[t][s] - (f[t] - f[s])) for s in N for t in N if s != t]
+    den, d, (eps, *f) = common_scale(space, [eps, *(partial.values[p] for p in N)])
+    f = dict(zip(N, f))
+    return den, d, [(s, t, d[t][s] - (f[t] - f[s])) for s in N for t in N if s != t], eps
 
 
-def _solve(
-    space: FiniteMetricSpace, system: MoleculeSystem
-) -> tuple[PotentialTable, list[tuple[int, int, Fraction]]]:
-    """The family's potential table and function slacks; NotAttainingError if none."""
+def _solve(space: FiniteMetricSpace, system: MoleculeSystem, eps=0):
+    """The family's table and ``_function_slacks``; NotAttainingError if none."""
     table = closure(beta_matrix(space, system.pairs))
     if isinstance(table, NegativeCycleWitness):
         raise NotAttainingError(table)
-    return table, _function_slacks(space, build_on_N(space, system.pairs, table))
+    return table, _function_slacks(space, build_on_N(space, system.pairs, table), eps)
 
 
 def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
@@ -147,8 +147,8 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
                     kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN((j, k))
                 )
     partial = build_on_N(space, system.pairs, result)
-    tight = [(s, t) for s, t, slack in _function_slacks(space, partial) if slack == 0]
-    d = space.dist
+    _, d, slacks, _ = _function_slacks(space, partial)
+    tight = [(s, t) for s, t, slack in slacks if slack == 0]
     coverage: dict[int, tuple[int, int]] = {}
     for p in space.points():
         hit = next(((s, t) for s, t in tight if d[s][p] + d[t][p] == d[s][t]), None)
@@ -167,7 +167,7 @@ def check_gateaux_eps(
 ) -> GateauxEpsReport:
     """Epsilon-relaxed rigidity and coverage report for an attaining family."""
     eps = positive_eps(eps)
-    table, slacks = _solve(space, system)
+    table, (den, d, slacks, e) = _solve(space, system, eps)
     n = len(system.pairs)
     cond_i = tuple(
         (j, k)
@@ -175,18 +175,17 @@ def check_gateaux_eps(
         for k in range(j + 1, n)
         if table.B[j][k] + table.B[k][j] >= eps
     )
-    d = space.dist
     cond_ii: dict[int, tuple[int, int, Fraction]] = {}
     for p in space.points():
-        best: tuple[Fraction, int, int] | None = None
+        best: tuple[int, int, int] | None = None
         for s, t, fun_slack in slacks:
             slack = max(d[s][p] + d[t][p] - d[s][t], fun_slack)
-            if slack < eps:
+            if slack < e:
                 break
             if best is None or (slack, s, t) < best:
                 best = (slack, s, t)
         else:
-            cond_ii[p] = (best[1], best[2], best[0])
+            cond_ii[p] = (best[1], best[2], Fraction(best[0], den))
     return GateauxEpsReport(cond_i=cond_i, cond_ii=cond_ii)
 
 
@@ -198,11 +197,10 @@ def min_coverage_slack(
     Zero iff the point is exactly covered; any eps at most this value keeps
     the point in the cond_ii failure set of check_gateaux_eps.
     """
-    _, slacks = _solve(space, system)
-    d = space.dist
-    return min(
+    _, (den, d, slacks, _) = _solve(space, system)
+    return Fraction(min(
         max(d[s][point] + d[t][point] - d[s][t], slack) for s, t, slack in slacks
-    )
+    ), den)
 
 
 def coverage_eps_prefix(
@@ -218,7 +216,7 @@ def coverage_eps_prefix(
     the slack of (t, s) being below eps, and the segment test is symmetric.
     """
     eps = positive_eps(eps)
-    _, slacks = _solve(space, system)
+    _, (_, d, slacks, eps) = _solve(space, system, eps)
     first: dict[int, int] = {}
     for upto, pair in enumerate(system.pairs, 1):
         for x in pair:
@@ -226,7 +224,6 @@ def coverage_eps_prefix(
     usable = sorted(
         (max(first[s], first[t]), s, t) for s, t, slack in slacks if slack < eps
     )
-    d = space.dist
     needed = 0
     for p in space.points():
         upto = next(
@@ -255,6 +252,8 @@ def l1_basis_check(
     equal entry for entry to the beta of the oriented pairs. ``restrict``
     also cuts its integer rows out of the one scaled form of that beta.
     """
+    if max_pairs < 1:
+        raise InputError("max_pairs must be positive")
     pairs = tuple((int(x), int(y)) for x, y in pairs)
     n = len(pairs)
     if n == 0:
@@ -295,9 +294,11 @@ def verify_stability(
 ) -> bool:
     """Check the stability implication for one candidate function g.
 
-    If g pairs against the element above 1 - eps/min(weights), its uniform
+    If g pairs against the element above 1 - eps * min(weights), its uniform
     distance to the norming function must be at most K * eps; the implication
-    is vacuously true when the hypothesis fails.
+    is vacuously true when the hypothesis fails. Then each pair's slack
+    d(x, y) - (g(x) - g(y)) is below eps * d(x, y), which the n^2 * D
+    factor of K needs.
     """
     verdict = decide(space, system)
     if verdict.kind is not VerdictKind.FRECHET:
@@ -324,7 +325,7 @@ def stability_holds(
         ),
         Fraction(0),
     )
-    if not g_mu > 1 - eps / min(system.weights):
+    if not g_mu > 1 - eps * min(system.weights):
         return True
     gap = max(abs(f.values[p] - g.values[p]) for p in space.points())
     return gap <= bound.K * eps

@@ -7,8 +7,10 @@ is an exact comparison; no floating point enters any decision path.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from numbers import Rational
+from operator import add
 from typing import Sequence
 
 from ._record import Record
@@ -47,6 +49,20 @@ def scale_to_integers(rows) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
+def common_scale(space: FiniteMetricSpace, values) -> tuple[int, Sequence[Sequence[int]], list]:
+    """``(den, rows, ints)``: ``space.scaled`` and ``values`` over one common denominator.
+
+    ``den`` is a multiple of the space's denominator and of every value's;
+    the rows are the space's own integer rows whenever no value needs more.
+    """
+    den, rows = space.scaled
+    common = lcm(den, *(v.denominator for v in values))
+    if common != den:
+        k = common // den
+        rows = [[x * k for x in row] for row in rows]
+    return common, rows, [v.numerator * (common // v.denominator) for v in values]
+
+
 def floyd_warshall(rows: list[list[int]]) -> None:
     """Close a square integer matrix under shortest paths, in place.
 
@@ -76,11 +92,22 @@ class ValidationReport(Record):
 
 
 class FiniteMetricSpace(Record):
-    """A labelled point set with exact pairwise distances and a base point."""
+    """A labelled point set with exact pairwise distances and a base point.
+
+    ``scaled`` is ``dist`` as integers over a common denominator, worked out
+    on first read unless ``build_space`` already had it; every metric scan
+    reads it, and only the values it reports become Fractions.
+    """
 
     labels: tuple[str, ...]
     base: int
     dist: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def scaled(self) -> tuple[int, Sequence[Sequence[int]]]:
+        """``(den, rows)`` with ``rows[i][j] = dist[i][j] * den``, all integers."""
+        den, rows = scale_to_integers(self.dist)
+        return den, tuple(map(tuple, rows))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -101,15 +128,12 @@ class FiniteMetricSpace(Record):
         """Minimal positive distance; requires at least two points."""
         if len(self.labels) < 2:
             raise InputError("theta requires a space with at least 2 points")
-        return min(
-            self.dist[i][j]
-            for i in self.points()
-            for j in self.points()
-            if i != j
-        )
+        den, rows = self.scaled
+        return Fraction(min(min(row[:i] + row[i + 1:]) for i, row in enumerate(rows)), den)
 
     def diameter(self) -> Fraction:
-        return max((x for row in self.dist for x in row), default=Fraction(0))
+        den, rows = self.scaled
+        return Fraction(max(map(max, rows), default=0), den)
 
 
 def validate_space(
@@ -131,8 +155,12 @@ def validate_space(
 
 def _validate(
     labels: Sequence[str], dist: Sequence[Sequence], base: str, max_violations: int
-) -> tuple[ValidationReport, list[list[Fraction]]]:
-    """``validate_space``'s report together with the converted matrix."""
+) -> tuple[ValidationReport, list[list[Fraction]], tuple]:
+    """``validate_space``'s report, the converted matrix and its integer form.
+
+    Every check runs on the matrix scaled to one common denominator, which
+    keeps each sign, equality and sum comparison.
+    """
     labels = [str(l) for l in labels]
     n = len(labels)
     if n == 0:
@@ -146,36 +174,38 @@ def _validate(
     if len(dist) != n or any(len(row) != n for row in dist):
         raise InputError(f"distance matrix must be {n}x{n}")
     m = [
-        [as_fraction(dist[i][j], f"dist[{i}][{j}]") for j in range(n)]
-        for i in range(n)
+        [x if type(x) is Fraction else as_fraction(x, f"dist[{i}][{j}]")
+         for j, x in enumerate(row)]
+        for i, row in enumerate(dist)
     ]
+    den, scaled = scale_to_integers(m)
+    scaled = tuple(map(tuple, scaled))
+    columns = list(zip(*scaled))
 
     violations: list[tuple[str, tuple[int, ...]]] = []
     for i in range(n):
         for j in range(i + 1, n):
             if labels[i] == labels[j]:
                 violations.append(("dup-label", (i, j)))
-    for i in range(n):
-        if m[i][i] != 0:
+    for i, row in enumerate(scaled):
+        if row[i] != 0:
             violations.append(("nonzero-diag", (i,)))
-        for j in range(n):
-            if i == j:
-                continue
-            if m[i][j] < 0:
-                violations.append(("negative", (i, j)))
-            elif m[i][j] == 0:
-                violations.append(("zero-offdiag", (i, j)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                violations.append(("asymmetry", (i, j)))
-    # triangle check on integers: endpoints i < k, any intermediate j
-    _, scaled = scale_to_integers(m)
-    columns = list(zip(*scaled))
+        violations.extend(
+            ("negative" if x < 0 else "zero-offdiag", (i, j))
+            for j, x in enumerate(row)
+            if x <= 0 and j != i
+        )
+        violations.extend(
+            ("asymmetry", (i, j)) for j in range(i + 1, n) if row[j] != columns[i][j]
+        )
+    # triangle check: endpoints i < k, any intermediate j; j = i or k adds a
+    # diagonal entry to direct, so no sum below direct means nothing to report
     for i in range(n):
         row = scaled[i]
         for k in range(i + 1, n):
             direct = row[k]
+            if min(map(add, row, columns[k])) >= direct:
+                continue
             violations.extend(
                 ("triangle", (i, j, k))
                 for j, (a, b) in enumerate(zip(row, columns[k]))
@@ -184,28 +214,28 @@ def _validate(
 
     ok = not violations
     violations.sort(key=lambda v: (v[1], v[0]))
-    positives = [m[i][j] for i in range(n) for j in range(n) if i != j and m[i][j] > 0]
-    theta = min(positives) if positives else None
-    diameter = max(x for row in m for x in row) if n else Fraction(0)
+    positives = [x for i, row in enumerate(scaled) for j, x in enumerate(row) if x > 0 and i != j]
     report = ValidationReport(
         ok=ok,
         violations=tuple(violations[:max_violations]),
-        theta=theta,
-        diameter=diameter,
+        theta=Fraction(min(positives), den) if positives else None,
+        diameter=Fraction(max(map(max, scaled)), den),
     )
-    return report, m
+    return report, m, (den, scaled)
 
 
 def build_space(
     labels: Sequence[str], dist: Sequence[Sequence], base: str
 ) -> FiniteMetricSpace:
     """Validate raw data and construct an immutable space; raise on failure."""
-    report, m = _validate(labels, dist, base, 100)
+    report, m, scaled = _validate(labels, dist, base, 100)
     if not report.ok:
         raise InvalidSpaceError(report)
     labels = tuple(str(l) for l in labels)
     rows = tuple(tuple(row) for row in m)
-    return FiniteMetricSpace(labels=labels, base=labels.index(base), dist=rows)
+    space = FiniteMetricSpace(labels=labels, base=labels.index(base), dist=rows)
+    object.__setattr__(space, "scaled", scaled)
+    return space
 
 
 def segment(space: FiniteMetricSpace, s: int, t: int) -> frozenset[int]:

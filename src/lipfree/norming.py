@@ -9,11 +9,12 @@ point set N and 1-Lipschitz there; the closed-form largest and smallest
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Sequence
 
 from ._record import Record
 from .errors import CertificateMismatchError, InputError, exact
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, common_scale
 from .molecules import MoleculeSystem, Pair
 from .potentials import PotentialTable
 
@@ -44,15 +45,25 @@ class LipschitzFunction(Record):
 
 
 def lipschitz_constant(space: FiniteMetricSpace, values: Sequence[Fraction]) -> Fraction:
-    """Exact max of |f(p) - f(q)| / d(p,q); zero for fewer than two points."""
-    best = Fraction(0)
+    """Exact max of |f(p) - f(q)| / d(p,q); zero for fewer than two points.
+
+    With f(p) = a/b, f(q) = c/e and d(p, q) = r/s the ratio is
+    |a e - c b| s / (b e r), so the argmax is found by cross-multiplying the
+    raw numerators and denominators and one Fraction is built, for the
+    answer. Re-checks call this too, so it never reads ``space.scaled``.
+    """
     n = len(space)
-    for p in range(n):
-        for q in range(p + 1, n):
-            ratio = abs(values[p] - values[q]) / space.d(p, q)
-            if ratio > best:
-                best = ratio
-    return best
+    nums = [values[p].numerator for p in range(n)]
+    dens = [values[p].denominator for p in range(n)]
+    best_num, best_den = 0, 1
+    for p, row in enumerate(space.dist):
+        a, b = nums[p], dens[p]
+        for c, e, d in zip(nums[p + 1:], dens[p + 1:], row[p + 1:]):
+            num = abs(a * e - c * b) * d.denominator
+            den = b * e * d.numerator
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    return Fraction(best_num, best_den)
 
 
 def make_function(
@@ -99,25 +110,33 @@ def build_on_N(
     return PartialFunction(domain=tuple(values), values=values)
 
 
-def _check_extendable(space: FiniteMetricSpace, partial: PartialFunction):
-    """InputError unless the partial function has a domain and is 1-Lipschitz on it."""
+def _extension(
+    space: FiniteMetricSpace, partial: PartialFunction, op, pick
+) -> LipschitzFunction:
+    """``pick`` over p in N of ``op(f(p), d(p, x))`` at every x, certified.
+
+    InputError unless the partial function has a domain and is 1-Lipschitz
+    on it; the result's constant above 1 is an internal bug. Both scans run
+    on integers over one denominator common to the space and the values; a
+    violation is confirmed on the Fractions before it is reported.
+    """
     dom = partial.domain
     if not dom:
         raise InputError("cannot extend a partial function with empty domain")
-    for a in range(len(dom)):
+    den, d, f = common_scale(space, [partial.values[p] for p in dom])
+    for a, p in enumerate(dom):
         for b in range(a + 1, len(dom)):
-            p, q = dom[a], dom[b]
-            gap = abs(partial.values[p] - partial.values[q])
-            if gap > space.d(p, q):
+            q = dom[b]
+            if abs(f[a] - f[b]) > d[p][q]:
+                gap = abs(partial.values[p] - partial.values[q])
+                if gap <= space.d(p, q):
+                    raise CertificateMismatchError("integer distances disagree with the space")
                 raise InputError(
                     f"partial function is not 1-Lipschitz on its domain: "
                     f"|f({p}) - f({q})| = {exact(gap)} > d = {exact(space.d(p, q))}"
                 )
-
-
-def _extension(space: FiniteMetricSpace, vals: list[Fraction]) -> LipschitzFunction:
-    """Certify an extension's values; its constant above 1 is an internal bug."""
-    out = make_function(space, vals)
+    columns = zip(*(d[p] for p in dom))
+    out = make_function(space, [Fraction(pick(map(op, f, col)), den) for col in columns])
     if out.lip_constant > 1:
         raise CertificateMismatchError("a 1-Lipschitz extension has constant <= 1")
     return out
@@ -127,22 +146,14 @@ def extend_upper(
     space: FiniteMetricSpace, partial: PartialFunction
 ) -> LipschitzFunction:
     """Largest 1-Lipschitz extension: g1(x) = min over p in N of f(p) + d(p,x)."""
-    _check_extendable(space, partial)
-    return _extension(space, [
-        min(partial.values[p] + space.d(p, x) for p in partial.domain)
-        for x in space.points()
-    ])
+    return _extension(space, partial, add, min)
 
 
 def extend_lower(
     space: FiniteMetricSpace, partial: PartialFunction
 ) -> LipschitzFunction:
     """Smallest 1-Lipschitz extension: g2(x) = max over p in N of f(p) - d(p,x)."""
-    _check_extendable(space, partial)
-    return _extension(space, [
-        max(partial.values[p] - space.d(p, x) for p in partial.domain)
-        for x in space.points()
-    ])
+    return _extension(space, partial, sub, max)
 
 
 def verify_norming(

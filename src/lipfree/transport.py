@@ -89,7 +89,7 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
     Reading the flow matrix row by row gives the legs in (source, sink) order.
     """
     n = len(space)
-    den, cost = scale_to_integers(space.dist)
+    den, cost = space.scaled
     mass_den, (excess,) = scale_to_integers([balance])
     flow = [[0] * n for _ in range(n)]
     pi = [0] * n

@@ -170,7 +170,7 @@ def test_criterion_5_stability_bound():
         checked = 0
         while checked < 1000:
             eps = eps_grid[checked % len(eps_grid)]
-            delta = eps / min(system.weights)
+            delta = eps * min(system.weights)
             h_vals = vertices[rng.randrange(len(vertices))]
             scale = Fraction(rng.randint(1, 8), 32)
             s = delta * scale / 8

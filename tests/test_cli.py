@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import lipfree.cli as cli
+import lipfree.generators as generators
 from lipfree import build_space, build_system, closure, differentiability, make_function
 from lipfree import verify_norming
 from lipfree.errors import LipfreeError
@@ -220,7 +221,7 @@ class TestExitCodes:
         def never(*args):
             raise AssertionError("generator called past the point cap")
 
-        monkeypatch.setattr(cli, generator, never)
+        monkeypatch.setattr(generators, generator, never)
         code, out, err = run(capsys, "gen", "--kind", kind, "--size", str(size + 1))
         assert code == 2
         assert out == ""

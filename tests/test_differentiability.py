@@ -55,6 +55,12 @@ def normalized_weights(count, rng=None):
     return [w / total for w in weights]
 
 
+def pairing(space, system, values):
+    """<g, mu> for the element of a family, g given by its values."""
+    return sum(w * (values[x] - values[y]) / space.d(x, y)
+               for (x, y), w in zip(system.pairs, system.weights))
+
+
 def star_system(k):
     star = gen_star(k)
     pairs = [(n, 0) for n in range(1, k + 1)]
@@ -347,6 +353,12 @@ class TestL1BasisCheck:
         with pytest.raises(ResourceLimitError):
             l1_basis_check(star, pairs)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("pairs", [[], [(1, 0), (2, 0)]], ids=["no-pairs", "two-pairs"])
+    def test_cap_below_one_is_input_error(self, cap, pairs):
+        with pytest.raises(InputError, match="max_pairs must be positive"):
+            l1_basis_check(gen_star(2), pairs, max_pairs=cap)
+
     @pytest.mark.parametrize("k,short,rank", [(6, None, None), (6, (1, 2), 16), (6, (1, 4), 4)])
     def test_one_closure_per_orientation_tried(self, monkeypatch, k, short, rank):
         """The walk solves each orientation it reaches with one ``closure``
@@ -449,7 +461,7 @@ class TestStability:
         f = decide(star, system).norming
         for _ in range(100):
             eps = Fraction(1, 2 ** rng.randint(4, 10))
-            delta = eps / min(system.weights)
+            delta = eps * min(system.weights)
             # convex mix with a random feasible function keeps the pairing high
             h = make_function(
                 star,
@@ -462,7 +474,46 @@ class TestStability:
                 star,
                 [(1 - s) * f.values[p] + s * h.values[p] for p in star.points()],
             )
+            assert pairing(star, system, g.values) > 1 - delta
             assert verify_stability(star, system, g, eps)
+
+    def test_unequal_weights_along_edges_to_dual_vertices(self):
+        """g = f + t (v - f) for dual vertices v, the worst direction, with t
+        chosen so that <g, mu> exceeds 1 - eps * min(w) by a random margin."""
+        rng = random.Random(504)
+        checked = 0
+        for space in (gen_star(2), gen_star(3), gen_c0_truncation(3), gen_line(3)):
+            k = len(space) - 1
+            raw = [Fraction(rng.randint(1, 100)) for _ in range(k)]
+            system = build_system(space, [(p, 0) for p in range(1, k + 1)],
+                                  [w / sum(raw) for w in raw])
+            verdict = decide(space, system)
+            assert verdict.kind is VerdictKind.FRECHET
+            f = verdict.norming.values
+            for v in dual_vertices(space):
+                deficit = 1 - pairing(space, system, v)
+                if deficit == 0:
+                    continue
+                for eps in (Fraction(1, 16), Fraction(1, 1000), Fraction(3, 7)):
+                    margin = eps * min(system.weights)
+                    t = min(1, Fraction(rng.randint(1, 99), 100) * margin / deficit)
+                    g = make_function(space, [a + t * (b - a) for a, b in zip(f, v)])
+                    assert pairing(space, system, g.values) > 1 - margin
+                    assert verify_stability(space, system, g, eps)
+                    checked += 1
+        assert checked >= 60
+
+    def test_unequal_weights_reproducer(self):
+        """<g, mu> = 999/1000 lies above 1 - eps / min(w) = 99/100 but below
+        1 - eps * min(w), and the gap 1/10 exceeds K * eps = 1/250: no
+        counterexample to the bound, which the old hypothesis reported."""
+        star = gen_star(2)
+        system = build_system(star, [(1, 0), (2, 0)], [Fraction(1, 100), Fraction(99, 100)])
+        g = make_function(star, [0, Fraction(9, 10), 1])
+        eps = Fraction(1, 10000)
+        assert pairing(star, system, g.values) == Fraction(999, 1000)
+        assert stability_bound(star, system).K * eps == Fraction(1, 250)
+        assert verify_stability(star, system, g, eps)
 
     def test_non_frechet_rejected(self):
         space, system = uncovered_fixture()

@@ -101,10 +101,10 @@ CASES = [
     ("validate-rand40", ["validate", "--space", "{rand40}"], 0),
     ("gateaux-eps-rand32-coprime", ["gateaux-eps", "--space", "{rand32}",
                                     "--system", "{rand32_sys}", "--eps", "3/61"], 1),
-    # unequal weights: <g, mu> = 999/1000 exceeds 1 - eps * min(w), and the
-    # gap 1/10 is within K * eps only because eps * min(w) bounds every slack
+    # unequal weights: <g, mu> = 999/1000 exceeds 1 - eps / min(w) but not
+    # 1 - eps * min(w), so the gap 1/10 > K * eps = 1/250 is no counterexample
     ("stability-star2-unequal", ["stability", "--space", "{star2}", "--system", "{star2_sys}",
-                                 "--function", "{star2_g}", "--eps", "1/10000"], 1),
+                                 "--function", "{star2_g}", "--eps", "1/10000"], 0),
 ]
 
 

@@ -11,8 +11,17 @@ mutual reachability over the arcs tight under its own alphas, and against
 the reference closure whichever of them is read first. A principal
 submatrix taken with ``BetaMatrix.restrict`` keeps its parent's denominator
 and must close exactly as the same submatrix built afresh.
+
+Each space has one integer form, ``space.scaled``. Validation, the
+Lipschitz constant (which cross-multiplies the raw Fractions instead), both
+extensions and the coverage slacks are compared with Fraction references on
+values and eps whose denominators do not divide the space's. Corrupting one
+entry of ``space.scaled`` must never yield a wrong norm or a wrong Frechet
+verdict that passes its re-check, and the re-checks must not read it.
 """
 
+import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -23,15 +32,32 @@ from hypothesis import strategies as st
 from lipfree import (
     BetaMatrix,
     CertificateMismatchError,
+    FiniteMetricSpace,
+    GateauxEpsReport,
+    InputError,
+    MoleculeSystem,
     NegativeCycleWitness,
+    NotAttainingError,
+    PartialFunction,
+    ValidationReport,
+    VerdictKind,
     brute_dual_norm,
+    build_on_N,
     build_space,
     beta_matrix,
+    check_gateaux_eps,
     closure,
+    coverage_eps_prefix,
+    decide,
     element_from_coeffs,
+    extend_lower,
+    extend_upper,
     free_norm,
+    gen_random,
     l1_basis_check,
+    min_coverage_slack,
     recheck_certificate,
+    recheck_verdict,
     validate_space,
 )
 from lipfree.generators import repair_to_metric
@@ -422,3 +448,232 @@ def test_rigid_pairs_on_first_read_match_the_reference(beta, rigid_first):
             closed, rigid_pairs, unique = table.B, table.rigid_pairs, table.globally_unique
         assert (closed, rigid_pairs, unique) == (B, rigid, len(rigid) == n * (n - 1) // 2)
         assert "rigid_pairs=" not in repr(table) and "globally_unique=" not in repr(table)
+
+
+# ------------------------------------------- one integer form per space
+
+
+eps_values = st.builds(
+    Fraction, st.integers(1, 200), st.sampled_from([7, 11, 13, 61, 97, 101, 1009])
+)
+unit_rationals = st.builds(Fraction, st.integers(0, 10**6), st.integers(10**6, 2 * 10**6))
+
+
+def reference_validation(m):
+    """Violations (labels distinct), theta and diameter, in Fraction."""
+    n = len(m)
+    violations = [("nonzero-diag", (i,)) for i in range(n) if m[i][i] != 0]
+    for i, j in product(range(n), repeat=2):
+        if i != j and m[i][j] <= 0:
+            violations.append(("negative" if m[i][j] < 0 else "zero-offdiag", (i, j)))
+    violations += [("asymmetry", (i, j)) for i in range(n) for j in range(i + 1, n)
+                   if m[i][j] != m[j][i]]
+    violations += reference_triangles(m)
+    positives = [m[i][j] for i, j in product(range(n), repeat=2) if i != j and m[i][j] > 0]
+    theta = min(positives) if positives else None
+    return sorted(violations, key=lambda v: (v[1], v[0])), theta, max(map(max, m))
+
+
+def reference_lipschitz(space, values):
+    n = len(space)
+    return max((abs(values[p] - values[q]) / space.d(p, q)
+                for p in range(n) for q in range(p + 1, n)), default=Fraction(0))
+
+
+def reference_extension(space, partial, upper):
+    """The extension's values, or the first pair breaking 1-Lipschitz on N."""
+    dom, f = partial.domain, partial.values
+    for a, p in enumerate(dom):
+        for q in dom[a + 1:]:
+            if abs(f[p] - f[q]) > space.d(p, q):
+                return (p, q, abs(f[p] - f[q])), None
+    if upper:
+        return None, [min(f[p] + space.d(p, x) for p in dom) for x in space.points()]
+    return None, [max(f[p] - space.d(p, x) for p in dom) for x in space.points()]
+
+
+def reference_coverage(space, system, eps):
+    """check_gateaux_eps, every point's min_coverage_slack and
+    coverage_eps_prefix in Fraction; None when the family does not attain."""
+    table = closure(beta_matrix(space, system.pairs))
+    if isinstance(table, NegativeCycleWitness):
+        return None
+    partial = build_on_N(space, system.pairs, table)
+    d, f, N = space.dist, partial.values, partial.domain
+    slacks = [(s, t, d[t][s] - (f[t] - f[s])) for s in N for t in N if s != t]
+    n = len(system.pairs)
+    cond_i = tuple((j, k) for j in range(n) for k in range(j + 1, n)
+                   if table.B[j][k] + table.B[k][j] >= eps)
+    cond_ii, least = {}, []
+    for p in space.points():
+        excess = [(max(d[s][p] + d[t][p] - d[s][t], fun), s, t) for s, t, fun in slacks]
+        least.append(min(e for e, _, _ in excess))
+        if least[-1] >= eps:
+            slack, s, t = min(excess)
+            cond_ii[p] = (s, t, slack)
+    first = {}
+    for upto, pair in enumerate(system.pairs, 1):
+        for x in pair:
+            first.setdefault(x, upto)
+    usable = sorted((max(first[s], first[t]), s, t) for s, t, fun in slacks if fun < eps)
+    needed = 0
+    for p in space.points():
+        ups = [u for u, s, t in usable if d[s][p] + d[t][p] < d[s][t] + eps]
+        needed = None if needed is None or not ups else max(needed, ups[0])
+    return GateauxEpsReport(cond_i=cond_i, cond_ii=cond_ii), least, needed
+
+
+@st.composite
+def partial_functions(draw):
+    """A partial function with denominators of its own: t * d(a, .) + c,
+    1-Lipschitz for t in [0, 1], or free values that mostly are not."""
+    space = draw(spaces(2, 9, segments=draw(st.booleans())))
+    domain = sorted(draw(st.sets(st.integers(0, len(space) - 1), min_size=1)))
+    if draw(st.booleans()):
+        a, t, c = draw(st.integers(0, len(space) - 1)), draw(unit_rationals), draw(rationals)
+        values = {p: t * space.d(a, p) + c for p in domain}
+    else:
+        values = {p: draw(rationals) / 10**5 for p in domain}
+    return space, PartialFunction(domain=tuple(domain), values=values)
+
+
+@SETTINGS
+@given(raw_matrices(), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=3))
+def test_validate_space_matches_fraction_reference(m, zeros):
+    n = len(m)
+    for i, j in zeros:
+        m[i % n][j % n] = Fraction(0)
+    violations, theta, diameter = reference_validation(m)
+    report = validate_space([str(i) for i in range(n)], m, "0", max_violations=10**6)
+    assert report == ValidationReport(
+        ok=not violations, violations=tuple(violations), theta=theta, diameter=diameter)
+
+
+@SETTINGS
+@given(spaces(1, 9, segments=True))
+def test_space_scaled_is_the_one_integer_form(space):
+    den, rows = space.scaled
+    assert "scaled" in vars(space)  # seeded by build_space
+    assert (den, [list(row) for row in rows]) == scale_to_integers(space.dist)
+    fresh = FiniteMetricSpace(labels=space.labels, base=space.base, dist=space.dist)
+    assert "scaled" not in vars(fresh)
+    assert fresh == space and hash(fresh) == hash(space) and repr(fresh) == repr(space)
+    assert fresh.scaled == space.scaled
+    assert "scaled" not in repr(fresh) and "scaled" not in vars(space.replace())
+    if len(space) > 1:
+        off = [space.d(p, q) for p in space.points() for q in space.points() if p != q]
+        assert (space.theta(), space.diameter()) == (min(off), max(off))
+
+
+@SETTINGS
+@given(spaces(1, 9, segments=True), st.data())
+def test_lipschitz_constant_matches_fraction_reference(space, data):
+    values = [data.draw(st.one_of(rationals, st.sampled_from([0, 1, Fraction(1, 3)])))
+              for _ in space.points()]
+    assert lipschitz_constant(space, values) == reference_lipschitz(space, values)
+
+
+@SETTINGS
+@given(partial_functions(), st.booleans())
+def test_extensions_match_fraction_reference(case, upper):
+    space, partial = case
+    extend = extend_upper if upper else extend_lower
+    broken, values = reference_extension(space, partial, upper)
+    if broken is not None:
+        p, q, gap = broken
+        with pytest.raises(InputError, match=re.escape(f"|f({p}) - f({q})| = {gap} >")):
+            extend(space, partial)
+        return
+    out = extend(space, partial)
+    assert out.values == tuple(values)
+    assert out.lip_constant == reference_lipschitz(space, values) <= 1
+    assert out.base_pinned == (values[space.base] == 0)
+
+
+@SETTINGS
+@given(spaces_with_pairs(), eps_values)
+def test_coverage_slacks_match_fraction_reference(case, eps):
+    space, pairs = case
+    system = MoleculeSystem(pairs=tuple(pairs), weights=(Fraction(1),) * len(pairs))
+    expected = reference_coverage(space, system, eps)
+    if expected is None:
+        with pytest.raises(NotAttainingError):
+            check_gateaux_eps(space, system, eps)
+        return
+    report, least, prefix = expected
+    assert check_gateaux_eps(space, system, eps) == report
+    assert [min_coverage_slack(space, system, p) for p in space.points()] == least
+    assert coverage_eps_prefix(space, system, eps) == prefix
+
+
+def corrupted(space, rng):
+    """The space with one symmetric entry of its integer form changed."""
+    den, rows = space.scaled
+    i, j = rng.sample(range(len(space)), 2)
+    bad = [list(row) for row in rows]
+    bad[i][j] = bad[j][i] = rng.choice([0, 1, -rows[i][j], rows[i][j] // 2,
+                                        rows[i][j] - 1, rows[i][j] + 1, 3 * rows[i][j]])
+    out = space.replace()
+    object.__setattr__(out, "scaled", (den, tuple(map(tuple, bad))))
+    return out
+
+
+def test_corrupted_scaled_form_never_passes_a_wrong_norm():
+    """Re-checks read raw Fractions only, so a norm from a corrupted integer
+    form either fails its re-check or is the true norm."""
+    rng = random.Random(611)
+    outcomes = {"mismatch": 0, "agree": 0}
+    for trial in range(40):
+        space = gen_random(rng.randint(4, 10), trial)
+        coeffs = {p: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for p in space.points()}
+        element = element_from_coeffs(space, coeffs)
+        truth = free_norm(space, element).value
+        try:
+            value = free_norm(corrupted(space, rng), element).value
+        except CertificateMismatchError:
+            outcomes["mismatch"] += 1
+            continue
+        assert value == truth
+        outcomes["agree"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_corrupted_scaled_form_never_passes_a_wrong_frechet_verdict():
+    """A Frechet verdict from a corrupted integer form fails
+    ``recheck_verdict`` or has the true norming function."""
+    rng = random.Random(612)
+    outcomes = {"mismatch": 0, "agree": 0}
+    for trial in range(40):
+        space = gen_random(rng.randint(4, 10), trial)
+        # most points anchored, so that most families are Frechet
+        pairs = [(p, 0) for p in range(1, len(space)) if rng.random() < 0.9] or [(1, 0)]
+        weights = [Fraction(rng.randint(1, 9)) for _ in pairs]
+        system = MoleculeSystem(pairs=tuple(pairs), weights=tuple(w / sum(weights) for w in weights))
+        truth = decide(space, system)
+        bad = corrupted(space, rng)
+        try:
+            verdict = decide(bad, system)
+            if verdict.kind is not VerdictKind.FRECHET:
+                continue
+            recheck_verdict(bad, system, verdict)
+        except CertificateMismatchError:
+            outcomes["mismatch"] += 1
+            continue
+        assert (verdict.kind, verdict.norming) == (truth.kind, truth.norming)
+        outcomes["agree"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_rechecks_never_read_the_integer_form():
+    """``recheck_certificate`` and the Frechet branch of ``recheck_verdict``
+    pass on a space whose ``scaled`` cannot be read."""
+    space = gen_random(9, 4)
+    element = element_from_coeffs(space, {p: Fraction(p, 7) - 1 for p in space.points()})
+    cert = free_norm(space, element)
+    system = MoleculeSystem(pairs=tuple((p, 0) for p in range(1, 9)), weights=(Fraction(1, 8),) * 8)
+    verdict = decide(space, system)
+    assert verdict.kind is VerdictKind.FRECHET
+    blind = space.replace()
+    object.__setattr__(blind, "scaled", None)
+    recheck_certificate(blind, element, cert)
+    recheck_verdict(blind, system, verdict)

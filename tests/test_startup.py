@@ -84,6 +84,19 @@ class TestCommandImports:
         assert "lipfree.differentiability" in loaded
         assert not loaded & {"dataclasses", "inspect", "lipfree.oracles", "lipfree.transport"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--space", "tri.json", "--element", "elem.json"),
+            ("decide", "--space", "c06.json", "--system", "c06_sys.json"),
+            ("l1-check", "--space", "line.json", "--system", "line_pairs.json"),
+        ],
+        ids=["norm", "decide", "l1-check"],
+    )
+    def test_only_gen_loads_generators(self, argv):
+        assert "lipfree.generators" not in loaded_by(*argv)
+        assert "lipfree.generators" in loaded_by("gen", "--kind", "star", "--size", "2")
+
     def test_norm_loads_transport_and_oracles_only_when_asked(self):
         loaded = loaded_by("norm", "--space", "tri.json", "--element", "elem.json")
         assert "lipfree.transport" in loaded
