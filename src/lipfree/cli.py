@@ -10,8 +10,12 @@ Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
 the report, tags it ``"oracle": "agree"`` under ``--oracle`` (every oracle
 check raises before its handler returns) and maps errors to exit codes.
 
-``transport``, ``oracles`` and ``generators`` are imported inside the
-commands that use them, so the other commands do not pay for loading them.
+``differentiability``, ``potentials``, ``transport``, ``oracles`` and
+``generators`` are imported inside the commands that use them, so the other
+commands do not pay for compiling and loading them: ``norm``, ``validate``,
+``gen`` and ``--help`` load neither ``differentiability`` nor
+``potentials``, and ``attains``, ``decompose``, ``potentials`` and
+``norming`` skip ``differentiability``.
 """
 
 from __future__ import annotations
@@ -21,29 +25,10 @@ import json
 import os
 import sys
 
-from .differentiability import (
-    NonUniqueOnN,
-    NotAttaining,
-    Uncovered,
-    VerdictKind,
-    check_gateaux_eps,
-    coverage_eps_prefix,
-    decide,
-    l1_basis_check,
-    recheck_verdict,
-    stability_bound,
-    stability_holds,
-)
 from .errors import CertificateMismatchError, InputError, LipfreeError
 from .metric import validate_space
 from .molecules import beta_matrix, to_point_masses
 from .norming import build_on_N, extend_lower, extend_upper
-from .potentials import (
-    NegativeCycleWitness,
-    check_cyclical_monotonicity,
-    closure,
-    recheck_witness,
-)
 from .serialization import (
     certificate_to_doc,
     dumps_canonical,
@@ -85,9 +70,17 @@ def _max_points() -> int:
 
 
 def _read_json(path: str) -> dict:
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise InputError(f"{path} repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
     # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
@@ -107,6 +100,8 @@ def _load_system(args):
 
 def _witness_doc(space, pairs, beta, witness) -> dict:
     """Re-check a negative-cycle witness against beta, then render it."""
+    from .potentials import recheck_witness
+
     recheck_witness(beta, witness)
     return witness_to_doc(space, pairs, witness)
 
@@ -168,6 +163,7 @@ def cmd_norm(args) -> tuple[int, dict]:
 
 
 def cmd_attains(args) -> tuple[int, dict]:
+    from .potentials import NegativeCycleWitness, closure
     from .transport import free_norm
 
     space, system = _load_system(args)
@@ -196,6 +192,7 @@ def cmd_attains(args) -> tuple[int, dict]:
 
 
 def cmd_decompose(args) -> tuple[int, dict]:
+    from .potentials import check_cyclical_monotonicity
     from .transport import decompose_to_molecules
 
     space = _load_space(args)
@@ -209,6 +206,8 @@ def cmd_decompose(args) -> tuple[int, dict]:
 
 
 def cmd_potentials(args) -> tuple[int, dict]:
+    from .potentials import NegativeCycleWitness, closure
+
     space, system = _load_system(args)
     beta = beta_matrix(space, system.pairs)
     result = closure(beta)
@@ -225,6 +224,8 @@ def cmd_potentials(args) -> tuple[int, dict]:
 
 
 def cmd_norming(args) -> tuple[int, dict]:
+    from .potentials import NegativeCycleWitness, closure
+
     space, system = _load_system(args)
     beta = beta_matrix(space, system.pairs)
     result = closure(beta)
@@ -243,6 +244,8 @@ def cmd_norming(args) -> tuple[int, dict]:
 
 
 def cmd_gateaux_eps(args) -> tuple[int, dict]:
+    from .differentiability import check_gateaux_eps
+
     space, system = _load_system(args)
     eps = parse_rational(args.eps, "eps")
     report = check_gateaux_eps(space, system, eps)
@@ -262,6 +265,10 @@ def cmd_gateaux_eps(args) -> tuple[int, dict]:
 
 
 def cmd_decide(args) -> tuple[int, dict]:
+    from .differentiability import (
+        NonUniqueOnN, NotAttaining, Uncovered, VerdictKind, decide, recheck_verdict)
+    from .potentials import closure
+
     space, system = _load_system(args)
     verdict = decide(space, system)
     recheck_verdict(space, system, verdict)
@@ -304,6 +311,8 @@ def cmd_decide(args) -> tuple[int, dict]:
 
 
 def cmd_coverage_prefix(args) -> tuple[int, dict]:
+    from .differentiability import coverage_eps_prefix
+
     space, system = _load_system(args)
     eps = parse_rational(args.eps, "eps")
     prefix = coverage_eps_prefix(space, system, eps)
@@ -311,6 +320,8 @@ def cmd_coverage_prefix(args) -> tuple[int, dict]:
 
 
 def cmd_l1_check(args) -> tuple[int, dict]:
+    from .differentiability import l1_basis_check
+
     if args.max_pairs < 1:
         raise InputError("--max-pairs must be positive")
     space = _load_space(args)
@@ -332,6 +343,8 @@ def cmd_l1_check(args) -> tuple[int, dict]:
 
 
 def cmd_stability(args) -> tuple[int, dict]:
+    from .differentiability import VerdictKind, decide, stability_bound, stability_holds
+
     space, system = _load_system(args)
     verdict = decide(space, system)
     if verdict.kind is not VerdictKind.FRECHET:

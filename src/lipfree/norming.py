@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, sub
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
 from .errors import CertificateMismatchError, InputError, exact
 from .metric import FiniteMetricSpace, common_scale
 from .molecules import MoleculeSystem, Pair
-from .potentials import PotentialTable
+
+if TYPE_CHECKING:
+    from .potentials import PotentialTable
 
 
 class PartialFunction(Record):

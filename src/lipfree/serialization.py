@@ -27,9 +27,9 @@ from .molecules import (
     element_from_coeffs,
 )
 from .norming import LipschitzFunction, PartialFunction, make_function
-from .potentials import NegativeCycleWitness, PotentialTable, aligned_and_cross_sums
 
 if TYPE_CHECKING:
+    from .potentials import NegativeCycleWitness, PotentialTable
     from .transport import TransportCertificate
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -235,6 +235,8 @@ def witness_to_doc(
     space: FiniteMetricSpace, pairs, witness: NegativeCycleWitness
 ) -> dict:
     """Witness with the violated cycle inequality rendered on both sides."""
+    from .potentials import aligned_and_cross_sums
+
     aligned, cross = aligned_and_cross_sums(space, pairs, witness.cycle)
     return {
         "cycle": list(witness.cycle),

@@ -38,13 +38,23 @@ def _balances(space: FiniteMetricSpace, element: PointMassElement) -> list[Fract
     return balance
 
 
-def _dijkstra(cost, flow, pi, source):
+def _dijkstra(cost, into, pi, source):
     """Shortest reduced-cost distances in the residual graph from ``source``.
 
     Residual arcs: every forward arc (u,v) at cost d(u,v) (infinite capacity),
-    plus the reverse arc of each positive-flow arc at cost -d. The reverse arc
-    is always the cheaper option when present. All arguments are integers on
-    one common denominator.
+    plus the reverse arc of each positive-flow arc at cost -d; ``into[v]``
+    maps u to the flow on u -> v. The reverse arc is always the cheaper
+    option when present. All arguments are integers on one common
+    denominator.
+
+    Forward arcs are relaxed only from the source and from points entered by
+    a reverse arc. A point u entered by forward arcs from the last such point
+    h has dist[u] = dist[h] + (path cost h..u) - pi[h] + pi[u], so by the
+    triangle inequality dist[u] + rc(u, v) >= dist[h] + rc(h, v) for every
+    forward arc (u, v): h already relaxed v at least as well, and relabels
+    happen only on a strict improvement. Every arc relaxed is checked for a
+    nonnegative reduced cost; the forward arcs skipped are nonnegative on a
+    metric cost whenever those are, since u settles no later than v.
     """
     n = len(cost)
     dist: list[int | None] = [None] * n
@@ -59,10 +69,11 @@ def _dijkstra(cost, flow, pi, source):
         settled[u] = True
         cost_u = cost[u]
         pi_u = pi[u]
-        for v in range(n):
+        back = into[u]
+        for v in range(n) if u == source or u in into[pred[u]] else back:
             if v == u or settled[v]:
                 continue
-            rc = (-cost[v][u] if flow[v][u] > 0 else cost_u[v]) - pi_u + pi[v]
+            rc = (-cost[v][u] if v in back else cost_u[v]) - pi_u + pi[v]
             if rc < 0:
                 raise CertificateMismatchError("reduced costs must stay nonnegative")
             cand = du + rc
@@ -86,19 +97,19 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
     point never costs less than the direct arc, and ``_dijkstra`` relabels a
     point only on a strict improvement, so the direct arc keeps every tie and
     flow only ever runs from a supply point straight to a demand point.
-    Reading the flow matrix row by row gives the legs in (source, sink) order.
+    Sorting the flow's arcs gives the legs in (source, sink) order.
     """
     n = len(space)
     den, cost = space.scaled
     mass_den, (excess,) = scale_to_integers([balance])
-    flow = [[0] * n for _ in range(n)]
+    into: list[dict[int, int]] = [{} for _ in range(n)]
     pi = [0] * n
     while True:
         sources = [i for i in range(n) if excess[i] > 0]
         if not sources:
             break
         s = sources[0]
-        dist, pred = _dijkstra(cost, flow, pi, s)
+        dist, pred = _dijkstra(cost, into, pi, s)
         sinks = [i for i in range(n) if excess[i] < 0]
         t = min(sinks, key=lambda i: (dist[i], i))
         # walk predecessors to collect the augmenting path s -> t
@@ -111,24 +122,23 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
         arcs.reverse()
         amount = min(excess[s], -excess[t])
         for u, v in arcs:
-            if flow[v][u] > 0:
-                amount = min(amount, flow[v][u])
+            if v in into[u]:
+                amount = min(amount, into[u][v])
         if amount <= 0:
             raise CertificateMismatchError("augmenting amount must be positive")
         for u, v in arcs:
-            if flow[v][u] > 0:
-                flow[v][u] -= amount
+            if v in into[u]:
+                into[u][v] -= amount
+                if not into[u][v]:
+                    del into[u][v]
             else:
-                flow[u][v] += amount
+                into[v][u] = into[v].get(u, 0) + amount
         excess[s] -= amount
         excess[t] += amount
         pi = [pi[i] - dist[i] for i in range(n)]
-    plan = tuple(
-        (u, v, Fraction(x, mass_den))
-        for u, row in enumerate(flow)
-        for v, x in enumerate(row)
-        if x
-    )
+    plan = tuple(sorted(
+        (u, v, Fraction(x, mass_den)) for v, row in enumerate(into) for u, x in row.items()
+    ))
     return plan, [Fraction(p, den) for p in pi]
 
 

@@ -169,12 +169,41 @@ class TestExitCodes:
         def broken_recheck(space, system, verdict):
             raise cli.CertificateMismatchError("synthetic corruption")
 
-        monkeypatch.setattr(cli, "recheck_verdict", broken_recheck)
+        monkeypatch.setattr(differentiability, "recheck_verdict", broken_recheck)
         code, _, err = run(
             capsys, "decide", "--space", docs["tri"], "--system", docs["sys_one"]
         )
         assert code == 3
         assert "certificate mismatch" in err
+
+    # json.load keeps the last of two equal keys; the reader refuses them
+    def test_repeated_coefficient_label_is_input_error(self, capsys, docs, tmp_path):
+        element = tmp_path / "repeated.json"
+        element.write_text('{"coeffs": {"a": 1, "a": 5}}')
+        code, out, err = run(capsys, "norm", "--space", docs["tri"], "--element", str(element))
+        assert (code, out) == (2, "")
+        assert "repeats the key 'a'" in err
+
+    def test_repeated_base_key_is_input_error(self, capsys, tmp_path):
+        space = tmp_path / "repeated.json"
+        space.write_text(json.dumps(TRI)[:-1] + ', "base": "a"}')
+        code, out, err = run(capsys, "validate", "--space", str(space))
+        assert (code, out) == (2, "")
+        assert "repeats the key 'base'" in err
+
+    def test_repeated_function_value_is_input_error(self, capsys, tmp_path):
+        g = tmp_path / "repeated.json"
+        g.write_text('{"values": {"0": 0, "1": 1, "2": 1, "3": "3/4", "1": 0}}')
+        code, out, err = run(
+            capsys,
+            "stability",
+            "--space", str(INPUTS / "star3.json"),
+            "--system", str(INPUTS / "star3_sys.json"),
+            "--function", str(g),
+            "--eps", "1/16",
+        )
+        assert (code, out) == (2, "")
+        assert "repeats the key '1'" in err
 
     def test_validate_reads_labels_like_norm(self, capsys, tmp_path):
         space = tmp_path / "int_labels.json"
@@ -330,7 +359,6 @@ class TestReports:
 
         for name in calls:
             wrapper = counted(name, getattr(differentiability, name))
-            monkeypatch.setattr(cli, name, wrapper)
             monkeypatch.setattr(differentiability, name, wrapper)
         code, out, _ = run(
             capsys,
@@ -383,7 +411,7 @@ class TestInternalFaults:
             def broken_decide(space, system):
                 raise fault("synthetic invariant failure")
 
-            monkeypatch.setattr(cli, "decide", broken_decide)
+            monkeypatch.setattr(differentiability, "decide", broken_decide)
             code, out, err = run(
                 capsys, "decide", "--space", docs["tri"], "--system", docs["sys_one"]
             )

@@ -13,8 +13,12 @@ a potential table whose rigid pairs are neither none nor all, and an
 ``attains`` verdict on the isometric 11-point star. Three pin both
 ``norming`` extensions, ``validate``'s theta and diameter, and
 ``gateaux-eps`` slacks at an eps whose denominator divides no distance's,
-all on the mixed-denominator spaces; the last runs ``stability`` on a
-family with unequal weights. Inputs live in
+all on the mixed-denominator spaces; one runs ``stability`` on a family
+with unequal weights. The last three pin plan and dual bytes where
+shortest-path ties decide the flow: ``norm`` on the 11-point star with a
+full-support mixed-sign element, ``norm`` on the 3-point line with an
+alternating-sign element, and ``decompose`` on the dense 40-point element.
+Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -105,6 +109,11 @@ CASES = [
     # 1 - eps * min(w), so the gap 1/10 > K * eps = 1/250 is no counterexample
     ("stability-star2-unequal", ["stability", "--space", "{star2}", "--system", "{star2_sys}",
                                  "--function", "{star2_g}", "--eps", "1/10000"], 0),
+    # plans and duals where shortest-path ties decide the search: equal
+    # distances on the star and exact segments on the line
+    ("norm-star10-mixed", ["norm", "--space", "{star10}", "--element", "{star10_elem}"], 0),
+    ("norm-line-alternating", ["norm", "--space", "{line}", "--element", "{line_elem}"], 0),
+    ("decompose-rand40", ["decompose", "--space", "{rand40}", "--element", "{rand40_elem}"], 0),
 ]
 
 
@@ -170,6 +179,10 @@ def input_docs():
         "star3_g_off_base": {"values": {"0": 1, "1": 1, "2": 1, "3": 1}},
         "star2_sys": {"pairs": [["1", "0"], ["2", "0"]], "weights": ["1/100", "99/100"]},
         "star2_g": {"values": {"0": 0, "1": "9/10", "2": 1}},
+        "line_elem": {"coeffs": {"1": "-3/2", "2": "5/2"}},
+        "star10_elem": {"coeffs": {
+            str(p): render_rational(Fraction((-1) ** p * (p % 4 + 1), p % 3 + 1))
+            for p in range(1, 11)}},
     }
     docs["star2"] = space_to_doc(gen_star(2))
     for name, space, count in (("star8", star8, 8), ("star5", star5, 5),

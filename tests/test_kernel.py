@@ -18,8 +18,17 @@ extensions and the coverage slacks are compared with Fraction references on
 values and eps whose denominators do not divide the space's. Corrupting one
 entry of ``space.scaled`` must never yield a wrong norm or a wrong Frechet
 verdict that passes its re-check, and the re-checks must not read it.
+
+The flow's Dijkstra search relaxes forward arcs only from the source and
+from points entered by a reverse arc. It is compared with a search that
+relaxes every arc, on metric integer costs full of ties, with feasible and
+perturbed potentials: the same distances and predecessors, and a
+``CertificateMismatchError`` exactly when the reference raises one. The
+whole flow is compared the same way on stars, lines and spaces with exact
+segments: the same plan and the same dual.
 """
 
+import heapq
 import random
 import re
 from fractions import Fraction
@@ -53,7 +62,9 @@ from lipfree import (
     extend_lower,
     extend_upper,
     free_norm,
+    gen_line,
     gen_random,
+    gen_star,
     l1_basis_check,
     min_coverage_slack,
     recheck_certificate,
@@ -371,9 +382,8 @@ def test_free_norm_matches_vertex_sweep(case):
 
 def test_negative_reduced_cost_is_a_certificate_mismatch():
     cost = [[0, 1], [1, 0]]
-    flow = [[0, 0], [0, 0]]
     with pytest.raises(CertificateMismatchError):
-        _dijkstra(cost, flow, [0, -5], 0)
+        _dijkstra(cost, [{}, {}], [0, -5], 0)
 
 
 @SETTINGS
@@ -677,3 +687,145 @@ def test_rechecks_never_read_the_integer_form():
     object.__setattr__(blind, "scaled", None)
     recheck_certificate(blind, element, cert)
     recheck_verdict(blind, system, verdict)
+
+
+# ------------------------------------- forward arcs relaxed only where they help
+
+
+def reference_dijkstra(cost, flow, pi, source):
+    """The search relaxing every residual arc of every settled point, over a
+    full flow matrix: ``flow[u][v]`` is the flow on u -> v."""
+    n = len(cost)
+    dist = [None] * n
+    pred = [None] * n
+    dist[source] = 0
+    heap = [(0, source)]
+    settled = [False] * n
+    while heap:
+        du, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        for v in range(n):
+            if v == u or settled[v]:
+                continue
+            rc = (-cost[v][u] if flow[v][u] > 0 else cost[u][v]) - pi[u] + pi[v]
+            if rc < 0:
+                raise CertificateMismatchError("reduced costs must stay nonnegative")
+            if dist[v] is None or du + rc < dist[v]:
+                dist[v] = du + rc
+                pred[v] = u
+                heapq.heappush(heap, (du + rc, v))
+    return dist, pred
+
+
+def reference_flow(space, balance):
+    """Successive shortest paths with ``reference_dijkstra``: (plan, potentials)."""
+    n = len(space)
+    den, cost = space.scaled
+    mass_den, (excess,) = scale_to_integers([balance])
+    flow = [[0] * n for _ in range(n)]
+    pi = [0] * n
+    while any(e > 0 for e in excess):
+        s = next(i for i in range(n) if excess[i] > 0)
+        dist, pred = reference_dijkstra(cost, flow, pi, s)
+        t = min((i for i in range(n) if excess[i] < 0), key=lambda i: (dist[i], i))
+        path, v = [], t
+        while v != s:
+            path.append((pred[v], v))
+            v = pred[v]
+        amount = min([excess[s], -excess[t]] + [flow[v][u] for u, v in path if flow[v][u]])
+        for u, v in path:
+            if flow[v][u]:
+                flow[v][u] -= amount
+            else:
+                flow[u][v] += amount
+        excess[s] -= amount
+        excess[t] += amount
+        pi = [p - d for p, d in zip(pi, dist)]
+    plan = tuple((u, v, Fraction(x, mass_den))
+                 for u, row in enumerate(flow) for v, x in enumerate(row) if x)
+    return plan, [Fraction(p, den) for p in pi]
+
+
+@st.composite
+def residual_graphs(draw):
+    """A metric integer cost, a flow with one direction per pair, potentials
+    and a source.
+
+    The costs are shortest-path closures of random weights, stars, or
+    {2, 4}-valued, the last two full of ties. Feasible potentials are
+    1-Lipschitz, a max of shifted distance functions, with flow only on arcs
+    they make tight; perturbed ones add small integers to those and let the
+    flow run either way, so that some reduced costs turn negative.
+    """
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["closure", "star", "two-four"]))
+    if kind == "closure":
+        cost = [[0 if i == j else draw(st.integers(1, 9)) for j in range(n)] for i in range(n)]
+        cost = [[min(cost[i][j], cost[j][i]) for j in range(n)] for i in range(n)]
+        assert floyd_warshall(cost) is None
+    elif kind == "star":
+        arm = [0] + [draw(st.integers(1, 3)) for _ in range(n - 1)]
+        cost = [[0 if i == j else arm[i] + arm[j] for j in range(n)] for i in range(n)]
+    else:
+        cost = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                cost[i][j] = cost[j][i] = draw(st.sampled_from([2, 4]))
+    shifts = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-8, 8)),
+                           min_size=1, max_size=3))
+    pi = [max(b - cost[r][v] for r, b in shifts) for v in range(n)]
+    feasible = draw(st.booleans())
+    if not feasible:
+        pi = [p + draw(st.integers(-2, 2)) for p in pi]
+    flow = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            ways = [(u, v), (v, u)]
+            if feasible:
+                ways = [(a, b) for a, b in ways if pi[a] - pi[b] == cost[a][b]]
+            way = draw(st.sampled_from([None] + ways))
+            if way is not None:
+                flow[way[0]][way[1]] = draw(st.integers(1, 5))
+    return cost, flow, pi, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(residual_graphs())
+def test_dijkstra_matches_the_full_relaxation(case):
+    cost, flow, pi, source = case
+    n = len(cost)
+    into = [{u: flow[u][v] for u in range(n) if flow[u][v]} for v in range(n)]
+    try:
+        expected = reference_dijkstra(cost, flow, pi, source)
+    except CertificateMismatchError:
+        with pytest.raises(CertificateMismatchError):
+            _dijkstra(cost, into, pi, source)
+        return
+    assert _dijkstra(cost, into, pi, source) == expected
+
+
+@st.composite
+def degenerate_elements(draw):
+    """An element on a star, a line or a space of distances in [1, 2] with
+    many exact segments, where shortest-path ties decide the flow."""
+    space = draw(st.one_of(
+        st.integers(1, 9).map(gen_star),
+        st.integers(2, 10).map(gen_line),
+        spaces(2, 9, segments=True),
+    ))
+    support = draw(st.sets(st.integers(0, len(space) - 1), min_size=1))
+    values = st.one_of(st.sampled_from([Fraction(-1), Fraction(1)]), rationals.filter(bool))
+    return space, element_from_coeffs(space, {p: draw(values) for p in sorted(support)})
+
+
+@SETTINGS
+@given(degenerate_elements())
+def test_free_norm_is_the_full_relaxation_flow(case):
+    space, element = case
+    cert = free_norm(space, element)
+    plan, pi = reference_flow(space, _balances(space, element))
+    assert cert.plan == plan
+    assert cert.dual.values == tuple(p - pi[space.base] for p in pi)
+    assert cert.value == sum((m * space.d(s, t) for s, t, m in plan), Fraction(0))

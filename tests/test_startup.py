@@ -1,8 +1,9 @@
 """Start-up cost: what a ``lipfree`` process imports.
 
 Every command runs in its own process, so modules a command does not use
-cost it time. These checks run in fresh interpreters, because the test
-process itself has imported every module.
+cost it time, most of all where no ``.pyc`` files are written and each
+module is compiled from source. These checks run in fresh interpreters,
+because the test process itself has imported every module.
 """
 
 import json
@@ -105,6 +106,44 @@ class TestCommandImports:
             "norm", "--space", "tri.json", "--element", "elem.json", "--oracle"
         )
         assert {"lipfree.transport", "lipfree.oracles"} <= with_oracle
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--space", "rand40.json", "--element", "rand40_elem.json"),
+            ("validate", "--space", "tri.json"),
+            ("--help",),
+        ],
+        ids=["norm", "validate", "help"],
+    )
+    def test_no_differentiability_or_potentials(self, argv):
+        loaded = loaded_by(*argv)
+        assert "lipfree.serialization" in loaded
+        assert not loaded & {"lipfree.differentiability", "lipfree.potentials"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("attains", "--space", "rand24.json", "--system", "rand24_sys.json"),
+            ("decompose", "--space", "tri.json", "--element", "elem.json"),
+        ],
+        ids=["attains", "decompose"],
+    )
+    def test_potentials_without_differentiability(self, argv):
+        loaded = loaded_by(*argv)
+        assert "lipfree.potentials" in loaded
+        assert "lipfree.differentiability" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decide", "--space", "rand32.json", "--system", "rand32_sys.json"),
+            ("l1-check", "--space", "line.json", "--system", "line_pairs.json"),
+        ],
+        ids=["decide", "l1-check"],
+    )
+    def test_differentiability_and_potentials(self, argv):
+        assert {"lipfree.differentiability", "lipfree.potentials"} <= loaded_by(*argv)
 
 
 class TestLazyPackage:
