@@ -7,8 +7,16 @@ disagreement) or any other internal fault, so a bug can never read as a
 negative verdict. Every certificate is re-verified before printing.
 
 Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
-the report, tags it ``"oracle": "agree"`` under ``--oracle`` (every oracle
-check raises before its handler returns) and maps errors to exit codes.
+and flushes the report, tags it ``"oracle": "agree"`` under ``--oracle``
+(every oracle check raises before its handler returns) and maps errors to
+exit codes, so a report that cannot be written exits 3.
+
+``run`` is the process entry point, of ``python -m lipfree.cli`` and of the
+``lipfree`` console script: it calls ``main``, flushes both streams and ends
+the process with ``os._exit``, skipping interpreter finalization (atexit
+handlers, object finalizers, module teardown), a cost paid after the report
+is out. Library callers and tests call ``main``, which returns the code and
+never exits.
 
 ``differentiability``, ``potentials``, ``transport``, ``oracles`` and
 ``generators`` are imported inside the commands that use them, so the other
@@ -446,6 +454,7 @@ def main(argv=None) -> int:
         if getattr(args, "oracle", False):
             report["oracle"] = "agree"
         sys.stdout.write(dumps_canonical(report))
+        sys.stdout.flush()
         return code
     except CertificateMismatchError as err:
         print(f"lipfree: certificate mismatch: {err}", file=sys.stderr)
@@ -458,5 +467,26 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
 
 
+def run() -> None:
+    """Run ``main`` as a whole process and end it once its output is out.
+
+    argparse writes ``--help`` and usage text outside ``main``'s report path,
+    so both streams are flushed here too; a stream that cannot be flushed
+    exits 3. Finalization is skipped: every check ran before the report.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except Exception as err:
+        if code != EXIT_MISMATCH:  # else main reported this write already
+            print(f"lipfree: internal error: {err!r}", file=sys.stderr)
+        code = EXIT_MISMATCH
+    try:
+        sys.stderr.flush()
+    except Exception:
+        code = EXIT_MISMATCH
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -5,9 +5,14 @@ positive denominator; no float survives parsing and none is ever emitted.
 Document shapes:
 
     space    {"labels": [...], "base": "<label>", "dist": [[...]]}
-    system   {"pairs": [["a", "0"], ...], "weights": [...]}
+    system   {"pairs": [["a", "0"], ...], "weights": [...], "total_weight": "p/q"}
     element  {"coeffs": {"<label>": "p/q", ...}}
-    function {"values": {"<label>": "p/q", ...}, "lip": "p/q"}
+    function {"values": {"<label>": "p/q", ...}, "lip": "p/q", "base_pinned": true}
+
+Each loader refuses a key outside the keys lipfree itself prints for that
+kind of document, so a misspelt key is an input error, not a key ignored.
+The derived keys ``total_weight``, ``lip`` and ``base_pinned`` are optional,
+and where present must equal the values recomputed from the document.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ if TYPE_CHECKING:
     from .transport import TransportCertificate
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+SPACE_KEYS = ("labels", "base", "dist")
+SYSTEM_KEYS = ("pairs", "weights", "total_weight")
+ELEMENT_KEYS = ("coeffs",)
+FUNCTION_KEYS = ("values", "lip", "base_pinned")
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -82,12 +92,31 @@ def dumps_canonical(obj) -> str:
 # ---------------------------------------------------------------- documents
 
 
+def _object(doc, kind: str, keys: tuple[str, ...]) -> dict:
+    """``doc`` if it is a JSON object using only ``keys``, else an input error."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{kind} document must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise InputError(
+                f"{kind} document has unknown key {key!r} "
+                f"(allowed: {', '.join(keys)})"
+            )
+    return doc
+
+
+def _check_stated(stated, recomputed, what: str) -> None:
+    if stated != recomputed:
+        raise InputError(
+            f"stated {what} {exact(stated)} != recomputed {exact(recomputed)}"
+        )
+
+
 def read_space_doc(
     doc: dict, max_points: int | None = None
 ) -> tuple[list[str], list[list[Fraction]], str]:
     """Labels, parsed rows and base of a space document; the shape is checked first."""
-    if not isinstance(doc, dict):
-        raise InputError("space document must be a JSON object")
+    _object(doc, "space", SPACE_KEYS)
     try:
         labels = doc["labels"]
         base = doc["base"]
@@ -126,16 +155,15 @@ def space_to_doc(space: FiniteMetricSpace) -> dict:
 
 def load_pairs_doc(space: FiniteMetricSpace, doc: dict) -> list[Pair]:
     """Point-index pairs of a system document; weights, if any, are not read."""
-    if not isinstance(doc, dict):
-        raise InputError("system document must be a JSON object")
-    raw_pairs = doc.get("pairs")
+    raw_pairs = _object(doc, "system", SYSTEM_KEYS).get("pairs")
     if not isinstance(raw_pairs, list):
         raise InputError("system document needs a 'pairs' list")
     pairs = []
     for i, entry in enumerate(raw_pairs):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise InputError(f"pair {i} must be a two-element list of labels")
-        pairs.append((space.index(str(entry[0])), space.index(str(entry[1]))))
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(label, str) for label in entry)):
+            raise InputError(f"pair {i} must be a two-element list of string labels")
+        pairs.append((space.index(entry[0]), space.index(entry[1])))
     return pairs
 
 
@@ -145,7 +173,11 @@ def load_system_doc(space: FiniteMetricSpace, doc: dict) -> MoleculeSystem:
     if not isinstance(raw_weights, list):
         raise InputError("system document needs a 'weights' list")
     weights = [parse_rational(w, f"weight {i}") for i, w in enumerate(raw_weights)]
-    return build_system(space, pairs, weights)
+    system = build_system(space, pairs, weights)
+    if "total_weight" in doc:
+        _check_stated(parse_rational(doc["total_weight"], "total_weight"),
+                      system.total_weight, "total weight")
+    return system
 
 
 def system_to_doc(space: FiniteMetricSpace, system: MoleculeSystem) -> dict:
@@ -158,9 +190,7 @@ def system_to_doc(space: FiniteMetricSpace, system: MoleculeSystem) -> dict:
 
 
 def load_element_doc(space: FiniteMetricSpace, doc: dict) -> PointMassElement:
-    if not isinstance(doc, dict):
-        raise InputError("element document must be a JSON object")
-    coeffs = doc.get("coeffs")
+    coeffs = _object(doc, "element", ELEMENT_KEYS).get("coeffs")
     if not isinstance(coeffs, dict):
         raise InputError("element document needs a 'coeffs' object")
     parsed = {
@@ -189,7 +219,7 @@ def function_to_doc(space: FiniteMetricSpace, f: LipschitzFunction) -> dict:
 
 
 def load_function_doc(space: FiniteMetricSpace, doc: dict) -> LipschitzFunction:
-    if not isinstance(doc, dict) or not isinstance(doc.get("values"), dict):
+    if not isinstance(_object(doc, "function", FUNCTION_KEYS).get("values"), dict):
         raise InputError("function document needs a 'values' object")
     raw = doc["values"]
     values = [Fraction(0)] * len(space)
@@ -202,12 +232,12 @@ def load_function_doc(space: FiniteMetricSpace, doc: dict) -> LipschitzFunction:
         raise InputError("function document must assign a value to every point")
     out = make_function(space, values)
     if "lip" in doc:
-        stated = parse_rational(doc["lip"], "lip")
-        if stated != out.lip_constant:
-            raise InputError(
-                f"stated Lipschitz constant {exact(stated)} != recomputed "
-                f"{exact(out.lip_constant)}"
-            )
+        _check_stated(parse_rational(doc["lip"], "lip"), out.lip_constant,
+                      "Lipschitz constant")
+    if "base_pinned" in doc:
+        if not isinstance(doc["base_pinned"], bool):
+            raise InputError("function base_pinned must be true or false")
+        _check_stated(doc["base_pinned"], out.base_pinned, "base_pinned")
     return out
 
 
