@@ -18,43 +18,20 @@ handlers, object finalizers, module teardown), a cost paid after the report
 is out. Library callers and tests call ``main``, which returns the code and
 never exits.
 
-``differentiability``, ``potentials``, ``transport``, ``oracles`` and
-``generators`` are imported inside the commands that use them, so the other
-commands do not pay for compiling and loading them: ``norm``, ``validate``,
-``gen`` and ``--help`` load neither ``differentiability`` nor
-``potentials``, and ``attains``, ``decompose``, ``potentials`` and
-``norming`` skip ``differentiability``.
+``cli`` imports a library module only in the code that runs it: each
+handler imports what it uses, so a command compiles and loads only the
+modules it runs, and ``--help`` and usage errors load ``cli`` and ``errors``
+alone. argparse's own writer swallows a failed write of help or usage text;
+``_Parser`` writes it so that the failure reaches ``main`` and exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import CertificateMismatchError, InputError, LipfreeError
-from .metric import validate_space
-from .molecules import beta_matrix, to_point_masses
-from .norming import build_on_N, extend_lower, extend_upper
-from .serialization import (
-    certificate_to_doc,
-    dumps_canonical,
-    function_to_doc,
-    load_element_doc,
-    load_function_doc,
-    load_pairs_doc,
-    load_space_doc,
-    load_system_doc,
-    parse_rational,
-    partial_to_doc,
-    read_space_doc,
-    render_rational,
-    space_to_doc,
-    system_to_doc,
-    table_to_doc,
-    witness_to_doc,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -78,6 +55,8 @@ def _max_points() -> int:
 
 
 def _read_json(path: str) -> dict:
+    import json
+
     def unique(pairs):
         doc = {}
         for key, value in pairs:
@@ -98,10 +77,14 @@ def _read_json(path: str) -> dict:
 
 
 def _load_space(args):
+    from .serialization import load_space_doc
+
     return load_space_doc(_read_json(args.space), max_points=_max_points())
 
 
 def _load_system(args):
+    from .serialization import load_system_doc
+
     space = _load_space(args)
     return space, load_system_doc(space, _read_json(args.system))
 
@@ -109,6 +92,7 @@ def _load_system(args):
 def _witness_doc(space, pairs, beta, witness) -> dict:
     """Re-check a negative-cycle witness against beta, then render it."""
     from .potentials import recheck_witness
+    from .serialization import witness_to_doc
 
     recheck_witness(beta, witness)
     return witness_to_doc(space, pairs, witness)
@@ -122,6 +106,9 @@ def _code(positive: bool) -> int:
 
 
 def cmd_validate(args) -> tuple[int, dict]:
+    from .metric import validate_space
+    from .serialization import read_space_doc, render_rational
+
     report = validate_space(*read_space_doc(_read_json(args.space), _max_points()))
     return _code(report.ok), {
         "ok": report.ok,
@@ -135,6 +122,7 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 def cmd_gen(args) -> tuple[int, dict]:
     from . import generators
+    from .serialization import space_to_doc
 
     points = args.size + 1 if args.kind in ("star", "c0", "c0_truncation") else args.size
     if points > _max_points():
@@ -153,6 +141,7 @@ def cmd_gen(args) -> tuple[int, dict]:
 
 
 def cmd_norm(args) -> tuple[int, dict]:
+    from .serialization import certificate_to_doc, load_element_doc
     from .transport import free_norm
 
     space = _load_space(args)
@@ -171,7 +160,9 @@ def cmd_norm(args) -> tuple[int, dict]:
 
 
 def cmd_attains(args) -> tuple[int, dict]:
+    from .molecules import beta_matrix, to_point_masses
     from .potentials import NegativeCycleWitness, closure
+    from .serialization import render_rational
     from .transport import free_norm
 
     space, system = _load_system(args)
@@ -201,6 +192,7 @@ def cmd_attains(args) -> tuple[int, dict]:
 
 def cmd_decompose(args) -> tuple[int, dict]:
     from .potentials import check_cyclical_monotonicity
+    from .serialization import load_element_doc, render_rational, system_to_doc
     from .transport import decompose_to_molecules
 
     space = _load_space(args)
@@ -214,7 +206,9 @@ def cmd_decompose(args) -> tuple[int, dict]:
 
 
 def cmd_potentials(args) -> tuple[int, dict]:
+    from .molecules import beta_matrix
     from .potentials import NegativeCycleWitness, closure
+    from .serialization import table_to_doc
 
     space, system = _load_system(args)
     beta = beta_matrix(space, system.pairs)
@@ -232,7 +226,10 @@ def cmd_potentials(args) -> tuple[int, dict]:
 
 
 def cmd_norming(args) -> tuple[int, dict]:
+    from .molecules import beta_matrix
+    from .norming import build_on_N, extend_lower, extend_upper
     from .potentials import NegativeCycleWitness, closure
+    from .serialization import function_to_doc, partial_to_doc
 
     space, system = _load_system(args)
     beta = beta_matrix(space, system.pairs)
@@ -253,6 +250,7 @@ def cmd_norming(args) -> tuple[int, dict]:
 
 def cmd_gateaux_eps(args) -> tuple[int, dict]:
     from .differentiability import check_gateaux_eps
+    from .serialization import parse_rational, render_rational
 
     space, system = _load_system(args)
     eps = parse_rational(args.eps, "eps")
@@ -275,7 +273,10 @@ def cmd_gateaux_eps(args) -> tuple[int, dict]:
 def cmd_decide(args) -> tuple[int, dict]:
     from .differentiability import (
         NonUniqueOnN, NotAttaining, Uncovered, VerdictKind, decide, recheck_verdict)
+    from .molecules import beta_matrix
+    from .norming import build_on_N, extend_lower, extend_upper
     from .potentials import closure
+    from .serialization import function_to_doc, render_rational, witness_to_doc
 
     space, system = _load_system(args)
     verdict = decide(space, system)
@@ -320,6 +321,7 @@ def cmd_decide(args) -> tuple[int, dict]:
 
 def cmd_coverage_prefix(args) -> tuple[int, dict]:
     from .differentiability import coverage_eps_prefix
+    from .serialization import parse_rational, render_rational
 
     space, system = _load_system(args)
     eps = parse_rational(args.eps, "eps")
@@ -329,6 +331,8 @@ def cmd_coverage_prefix(args) -> tuple[int, dict]:
 
 def cmd_l1_check(args) -> tuple[int, dict]:
     from .differentiability import l1_basis_check
+    from .molecules import beta_matrix
+    from .serialization import load_pairs_doc
 
     if args.max_pairs < 1:
         raise InputError("--max-pairs must be positive")
@@ -352,7 +356,13 @@ def cmd_l1_check(args) -> tuple[int, dict]:
 
 def cmd_stability(args) -> tuple[int, dict]:
     from .differentiability import VerdictKind, decide, stability_bound, stability_holds
+    from .serialization import load_function_doc, parse_rational, render_rational
 
+    # refused before any document is read: the two flags make one question
+    if args.function is not None and args.eps is None:
+        raise InputError("--function requires --eps")
+    if args.eps is not None and args.function is None:
+        raise InputError("--eps requires --function")
     space, system = _load_system(args)
     verdict = decide(space, system)
     if verdict.kind is not VerdictKind.FRECHET:
@@ -366,8 +376,6 @@ def cmd_stability(args) -> tuple[int, dict]:
     }
     if args.function is None:
         return EXIT_OK, report
-    if args.eps is None:
-        raise InputError("--function requires --eps")
     g = load_function_doc(space, _read_json(args.function))
     eps = parse_rational(args.eps, "eps")
     verified = stability_holds(space, system, verdict.norming, bound, g, eps)
@@ -376,8 +384,20 @@ def cmd_stability(args) -> tuple[int, dict]:
     return _code(verified), report
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that help or usage text that cannot be written raises.
+
+    ``_print_message`` is argparse's one writer of help, usage and error text,
+    and it ignores an ``OSError``; subparsers are made of the same class.
+    """
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lipfree",
         description="Exact decision procedures for free-space geometry "
         "over finite metric spaces.",
@@ -446,13 +466,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return EXIT_INPUT if err.code else EXIT_OK
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as err:  # argparse printed help or a usage error
+            sys.stdout.flush()
+            return EXIT_INPUT if err.code else EXIT_OK
         code, report = args.handler(args)
         if getattr(args, "oracle", False):
             report["oracle"] = "agree"
+        from .serialization import dumps_canonical
+
         sys.stdout.write(dumps_canonical(report))
         sys.stdout.flush()
         return code
@@ -470,9 +493,10 @@ def main(argv=None) -> int:
 def run() -> None:
     """Run ``main`` as a whole process and end it once its output is out.
 
-    argparse writes ``--help`` and usage text outside ``main``'s report path,
-    so both streams are flushed here too; a stream that cannot be flushed
-    exits 3. Finalization is skipped: every check ran before the report.
+    ``main`` flushes stdout after the report or help text; ``os._exit`` skips
+    the flush that shutdown would do, so both streams are flushed here once
+    more, and a stream that cannot be flushed exits 3. Finalization is
+    skipped: every check ran before the report.
     """
     code = main()
     try:

@@ -1,5 +1,7 @@
 """Exit-code and report-shape tests for the command-line front end."""
 
+import errno
+import io
 import json
 import sys
 from fractions import Fraction
@@ -229,6 +231,16 @@ class TestExitCodes:
         assert (code, out, read) == (2, "", [])
         assert "--max-pairs must be positive" in err
 
+    @pytest.mark.parametrize("given,missing", [("--eps", "--function"), ("--function", "--eps")])
+    def test_stability_flags_come_together(self, capsys, monkeypatch, given, missing):
+        # refused before any document is read; --eps alone used to be ignored
+        read = []
+        monkeypatch.setattr(cli, "_read_json", read.append)
+        code, out, err = run(capsys, "stability", "--space", str(INPUTS / "star3.json"),
+                             "--system", str(INPUTS / "star3_sys.json"), given, "1/2")
+        assert (code, out, read) == (2, "", [])
+        assert f"{given} requires {missing}" in err
+
     def test_point_cap_env(self, capsys, docs, monkeypatch):
         monkeypatch.setenv("LIPFREE_MAX_POINTS", "2")
         code, _, err = run(capsys, "validate", "--space", docs["tri"])
@@ -405,7 +417,37 @@ class TestReports:
         assert first == dumps_canonical(json.loads(first))
 
 
+class _Full(io.RawIOBase):
+    """A device with no space left, like /dev/full, until ``space`` is set."""
+
+    space = False
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.space:
+            return len(data)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestInternalFaults:
+    # argparse's own writer ignores a failed write of help text
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["decide", "--help"]],
+                             ids=["help", "decide-help"])
+    def test_help_that_cannot_be_written_is_exit_three(self, capsys, monkeypatch,
+                                                        argv, buffered):
+        full = _Full()
+        stdout = io.TextIOWrapper(io.BufferedWriter(full) if buffered else full,
+                                  write_through=not buffered)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert cli.main(argv) == 3
+        finally:
+            full.space = True  # lets the wrapper close cleanly
+        assert capsys.readouterr().err.count("lipfree: internal error") == 1
+
     def test_assertion_error_is_exit_three(self, capsys, docs, monkeypatch):
         for fault in (AssertionError, TypeError):
             def broken_decide(space, system):

@@ -107,6 +107,16 @@ class TestUnwritableReport:
         assert done.returncode == 3
         assert b"lipfree: internal error" in done.stderr
 
+    # unbuffered, only argparse's own writer sees the failed write
+    @pytest.mark.parametrize("argv", [("--help",), ("decide", "--help")],
+                             ids=["help", "decide-help"])
+    def test_unbuffered_help_is_an_internal_error(self, argv):
+        with open("/dev/full", "w") as full:
+            done = lipfree(*argv, stdout=full, unbuffered=True)
+        assert done.returncode == 3
+        assert done.stderr.count(b"lipfree: internal error") == 1
+        assert b"Exception ignored" not in done.stderr
+
 
 def test_process_ends_without_finalization():
     done = lipfree("gen", "--kind", "star", "--size", "2", script=ATEXIT_SCRIPT)

@@ -44,6 +44,7 @@ PUBLIC = [
 
 # Runs ``cli.main`` on argv[1:] and prints its exit code and the modules
 # imported since the interpreter started, so site's own imports do not count.
+# The set is taken before the probe imports ``json`` to print it.
 CLI_SCRIPT = """
 import sys
 before = set(sys.modules)
@@ -51,9 +52,13 @@ import contextlib, io
 with contextlib.redirect_stdout(io.StringIO()):
     from lipfree.cli import main
     code = main(sys.argv[1:])
+loaded = sorted(set(sys.modules) - before)
 import json
-print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+print(json.dumps({"code": code, "loaded": loaded}))
 """
+
+# what ``--help`` and usage errors load of lipfree
+DISPATCHER = {"lipfree", "lipfree.cli", "lipfree.errors"}
 
 
 def fresh(script: str, *argv: str) -> dict:
@@ -64,10 +69,10 @@ def fresh(script: str, *argv: str) -> dict:
     return json.loads(done.stdout)
 
 
-def loaded_by(*argv: str) -> set:
+def loaded_by(*argv: str, codes=(0, 1)) -> set:
     argv = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
     result = fresh(CLI_SCRIPT, *argv)
-    assert result["code"] in (0, 1)
+    assert result["code"] in codes
     return set(result["loaded"])
 
 
@@ -112,9 +117,8 @@ class TestCommandImports:
         [
             ("norm", "--space", "rand40.json", "--element", "rand40_elem.json"),
             ("validate", "--space", "tri.json"),
-            ("--help",),
         ],
-        ids=["norm", "validate", "help"],
+        ids=["norm", "validate"],
     )
     def test_no_differentiability_or_potentials(self, argv):
         loaded = loaded_by(*argv)
@@ -144,6 +148,24 @@ class TestCommandImports:
     )
     def test_differentiability_and_potentials(self, argv):
         assert {"lipfree.differentiability", "lipfree.potentials"} <= loaded_by(*argv)
+
+
+class TestDispatcherImports:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("--help",), 0),
+            (("decide", "--help"), 0),
+            (("norm", "--space", "tri.json"), 2),
+            (("frobnicate",), 2),
+            ((), 2),
+        ],
+        ids=["help", "decide-help", "missing-flag", "unknown-command", "no-command"],
+    )
+    def test_loads_only_the_dispatcher(self, argv, code):
+        loaded = loaded_by(*argv, codes=(code,))
+        assert {m for m in loaded if m.partition(".")[0] == "lipfree"} == DISPATCHER
+        assert not loaded & {"fractions", "json"}
 
 
 class TestLazyPackage:
