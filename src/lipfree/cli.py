@@ -273,9 +273,6 @@ def cmd_gateaux_eps(args) -> tuple[int, dict]:
 def cmd_decide(args) -> tuple[int, dict]:
     from .differentiability import (
         NonUniqueOnN, NotAttaining, Uncovered, VerdictKind, decide, recheck_verdict)
-    from .molecules import beta_matrix
-    from .norming import build_on_N, extend_lower, extend_upper
-    from .potentials import closure
     from .serialization import function_to_doc, render_rational, witness_to_doc
 
     space, system = _load_system(args)
@@ -306,15 +303,10 @@ def cmd_decide(args) -> tuple[int, dict]:
         detail = {"kind": "non_unique_on_n", "pair": list(failure.pair)}
     else:
         assert isinstance(failure, Uncovered)
-        table = closure(beta_matrix(space, system.pairs))
-        partial = build_on_N(space, system.pairs, table)
-        upper = extend_upper(space, partial)
-        lower = extend_lower(space, partial)
-        gap = upper.values[failure.point] - lower.values[failure.point]
         detail = {
             "kind": "uncovered",
             "point": space.labels[failure.point],
-            "extension_gap": render_rational(gap),
+            "extension_gap": render_rational(verdict.extension_gap),
         }
     return EXIT_NEGATIVE, {"kind": "not_gateaux", "failure": detail}
 

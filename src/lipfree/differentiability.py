@@ -68,10 +68,15 @@ Failure = NotAttaining | NonUniqueOnN | Uncovered
 
 
 class DiffVerdict(Record):
+    """``extension_gap``, which ``decide`` sets on an ``Uncovered`` failure at p, is
+    min over a in N of f(a) + d(a, p) minus max over b in N of f(b) - d(b, p):
+    the largest 1-Lipschitz extension of f on N minus the smallest, at p."""
+
     kind: VerdictKind
     norming: LipschitzFunction | None = None
     failure: Failure | None = None
     coverage: dict[int, tuple[int, int]] | None = None
+    extension_gap: Fraction | None = None
 
 
 class GateauxEpsReport(Record):
@@ -119,11 +124,12 @@ def _function_slacks(space, partial, eps=0) -> tuple[int, Sequence[Sequence[int]
 
 
 def _solve(space: FiniteMetricSpace, system: MoleculeSystem, eps=0):
-    """The family's table and ``_function_slacks``; NotAttainingError if none."""
+    """The family's table, f on N and ``_function_slacks``; NotAttainingError if none."""
     table = closure(beta_matrix(space, system.pairs))
     if isinstance(table, NegativeCycleWitness):
         raise NotAttainingError(table)
-    return table, _function_slacks(space, build_on_N(space, system.pairs, table), eps)
+    partial = build_on_N(space, system.pairs, table)
+    return table, partial, _function_slacks(space, partial, eps)
 
 
 def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
@@ -134,26 +140,22 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
         raise InputError(
             f"system weights must sum to 1 exactly, got {exact(system.total_weight)}"
         )
-    result = closure(beta_matrix(space, system.pairs))
-    if isinstance(result, NegativeCycleWitness):
-        return DiffVerdict(
-            kind=VerdictKind.NOT_GATEAUX, failure=NotAttaining(result)
-        )
+    try:
+        table, partial, (_, d, slacks, _) = _solve(space, system)
+    except NotAttainingError as err:
+        return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=NotAttaining(err.witness))
     n = len(system.pairs)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if (j, k) not in result.rigid_pairs:
-                return DiffVerdict(
-                    kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN((j, k))
-                )
-    partial = build_on_N(space, system.pairs, result)
-    _, d, slacks, _ = _function_slacks(space, partial)
+    loose = [(j, k) for j in range(n) for k in range(j + 1, n) if (j, k) not in table.rigid_pairs]
+    if loose:
+        return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN(loose[0]))
     tight = [(s, t) for s, t, slack in slacks if slack == 0]
     coverage: dict[int, tuple[int, int]] = {}
     for p in space.points():
         hit = next(((s, t) for s, t in tight if d[s][p] + d[t][p] == d[s][t]), None)
         if hit is None:
-            return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(p))
+            f = partial.values
+            gap = min(f[a] + space.d(a, p) for a in f) - max(f[b] - space.d(b, p) for b in f)
+            return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(p), extension_gap=gap)
         coverage[p] = hit
     # full coverage pins the free constant, so normalise at the base point
     g1 = extend_upper(space, partial)
@@ -167,7 +169,7 @@ def check_gateaux_eps(
 ) -> GateauxEpsReport:
     """Epsilon-relaxed rigidity and coverage report for an attaining family."""
     eps = positive_eps(eps)
-    table, (den, d, slacks, e) = _solve(space, system, eps)
+    table, _, (den, d, slacks, e) = _solve(space, system, eps)
     n = len(system.pairs)
     cond_i = tuple(
         (j, k)
@@ -197,7 +199,7 @@ def min_coverage_slack(
     Zero iff the point is exactly covered; any eps at most this value keeps
     the point in the cond_ii failure set of check_gateaux_eps.
     """
-    _, (den, d, slacks, _) = _solve(space, system)
+    _, _, (den, d, slacks, _) = _solve(space, system)
     return Fraction(min(
         max(d[s][point] + d[t][point] - d[s][t], slack) for s, t, slack in slacks
     ), den)
@@ -216,7 +218,7 @@ def coverage_eps_prefix(
     the slack of (t, s) being below eps, and the segment test is symmetric.
     """
     eps = positive_eps(eps)
-    _, (_, d, slacks, eps) = _solve(space, system, eps)
+    _, _, (_, d, slacks, eps) = _solve(space, system, eps)
     first: dict[int, int] = {}
     for upto, pair in enumerate(system.pairs, 1):
         for x in pair:
@@ -339,6 +341,10 @@ def recheck_verdict(
     A Frechet verdict is proved from f alone: if the arcs tight under
     alpha_k = f(y_k) join every two pair indices both ways, every norming g
     is f + c on N and on each tight segment of N; g(base) = 0 gives c = 0.
+
+    An uncovered verdict at p is proved from f on N in raw Fractions: if f norms
+    every pair and is 1-Lipschitz on N, a gap > 0 at p makes its two extremal
+    extensions, shifted to vanish at the base, two different norming functions.
     """
     if verdict.kind is VerdictKind.FRECHET:
         f = verdict.norming
@@ -368,23 +374,25 @@ def recheck_verdict(
     failure = verdict.failure
     if isinstance(failure, NotAttaining):
         recheck_witness(beta_matrix(space, system.pairs), failure.witness)
-    elif isinstance(failure, NonUniqueOnN):
-        table = closure(beta_matrix(space, system.pairs))
-        if isinstance(table, NegativeCycleWitness):
-            raise CertificateMismatchError("non-uniqueness claimed on a negative cycle")
+        return
+    if not isinstance(failure, (NonUniqueOnN, Uncovered)):
+        raise CertificateMismatchError("verdict carries no failure object")
+    table = closure(beta_matrix(space, system.pairs))
+    if isinstance(table, NegativeCycleWitness):
+        raise CertificateMismatchError(f"{failure} claimed on a negative cycle")
+    if isinstance(failure, NonUniqueOnN):
         j, k = failure.pair
         if table.B[j][k] + table.B[k][j] <= 0:
             raise CertificateMismatchError(f"pair {failure.pair} is actually rigid")
-    elif isinstance(failure, Uncovered):
-        try:
-            slack = min_coverage_slack(space, system, failure.point)
-        except NotAttainingError:
-            raise CertificateMismatchError(
-                "coverage claimed on a negative cycle"
-            ) from None
-        if slack == 0:
-            raise CertificateMismatchError(
-                f"point {failure.point} is actually covered"
-            )
-    else:
-        raise CertificateMismatchError("verdict carries no failure object")
+        return
+    p, f = failure.point, build_on_N(space, system.pairs, table).values
+    if any(f[x] - f[y] != space.d(x, y) for x, y in system.pairs):
+        raise CertificateMismatchError("f on N does not norm every molecule")
+    if any(abs(f[a] - f[b]) > space.d(a, b) for a in f for b in f if a < b):
+        raise CertificateMismatchError("f on N is not 1-Lipschitz")
+    gap = min(f[a] + space.d(a, p) for a in f) - max(f[b] - space.d(b, p) for b in f)
+    if gap <= 0:
+        raise CertificateMismatchError(f"point {p} is actually covered")
+    if verdict.extension_gap is not None and verdict.extension_gap != gap:
+        stated = exact(verdict.extension_gap)
+        raise CertificateMismatchError(f"stated extension gap {stated} is not {exact(gap)}")
