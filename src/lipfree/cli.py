@@ -89,6 +89,14 @@ def _load_system(args):
     return space, load_system_doc(space, _read_json(args.system))
 
 
+def _load_family(args):
+    """``_load_system`` for a command that solves the family, which needs a pair."""
+    space, system = _load_system(args)
+    if not system.pairs:
+        raise InputError(f"{args.system} has no pairs; {args.command} needs at least one")
+    return space, system
+
+
 def _witness_doc(space, pairs, beta, witness) -> dict:
     """Re-check a negative-cycle witness against beta, then render it."""
     from .potentials import recheck_witness
@@ -169,7 +177,8 @@ def cmd_attains(args) -> tuple[int, dict]:
     cert = free_norm(space, to_point_masses(space, system))
     attained = cert.value == system.total_weight
     beta = beta_matrix(space, system.pairs)
-    result = closure(beta)
+    # no pairs is the zero element: norm 0 equals total weight 0, no cycle to close
+    result = closure(beta) if system.pairs else None
     if attained == isinstance(result, NegativeCycleWitness):
         raise CertificateMismatchError(
             "norm attainment and cyclical monotonicity disagree"
@@ -210,7 +219,7 @@ def cmd_potentials(args) -> tuple[int, dict]:
     from .potentials import NegativeCycleWitness, closure
     from .serialization import table_to_doc
 
-    space, system = _load_system(args)
+    space, system = _load_family(args)
     beta = beta_matrix(space, system.pairs)
     result = closure(beta)
     if args.oracle:
@@ -231,7 +240,7 @@ def cmd_norming(args) -> tuple[int, dict]:
     from .potentials import NegativeCycleWitness, closure
     from .serialization import function_to_doc, partial_to_doc
 
-    space, system = _load_system(args)
+    space, system = _load_family(args)
     beta = beta_matrix(space, system.pairs)
     result = closure(beta)
     if isinstance(result, NegativeCycleWitness):
@@ -252,7 +261,7 @@ def cmd_gateaux_eps(args) -> tuple[int, dict]:
     from .differentiability import check_gateaux_eps
     from .serialization import parse_rational, render_rational
 
-    space, system = _load_system(args)
+    space, system = _load_family(args)
     eps = parse_rational(args.eps, "eps")
     report = check_gateaux_eps(space, system, eps)
     return _code(report.satisfied), {
@@ -315,7 +324,7 @@ def cmd_coverage_prefix(args) -> tuple[int, dict]:
     from .differentiability import coverage_eps_prefix
     from .serialization import parse_rational, render_rational
 
-    space, system = _load_system(args)
+    space, system = _load_family(args)
     eps = parse_rational(args.eps, "eps")
     prefix = coverage_eps_prefix(space, system, eps)
     return _code(prefix is not None), {"eps": render_rational(eps), "prefix": prefix}
@@ -347,7 +356,8 @@ def cmd_l1_check(args) -> tuple[int, dict]:
 
 
 def cmd_stability(args) -> tuple[int, dict]:
-    from .differentiability import VerdictKind, decide, stability_bound, stability_holds
+    from .differentiability import (
+        VerdictKind, decide, recheck_verdict, stability_bound, stability_holds)
     from .serialization import load_function_doc, parse_rational, render_rational
 
     # refused before any document is read: the two flags make one question
@@ -359,6 +369,7 @@ def cmd_stability(args) -> tuple[int, dict]:
     verdict = decide(space, system)
     if verdict.kind is not VerdictKind.FRECHET:
         raise InputError("stability bound applies to Frechet points only")
+    recheck_verdict(space, system, verdict)
     bound = stability_bound(space, system)
     report = {
         "theta": render_rational(bound.theta),

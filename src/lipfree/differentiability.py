@@ -68,9 +68,10 @@ Failure = NotAttaining | NonUniqueOnN | Uncovered
 
 
 class DiffVerdict(Record):
-    """``extension_gap``, which ``decide`` sets on an ``Uncovered`` failure at p, is
+    """``extension_gap``, set by ``decide`` on an ``Uncovered`` failure at p, is
     min over a in N of f(a) + d(a, p) minus max over b in N of f(b) - d(b, p):
-    the largest 1-Lipschitz extension of f on N minus the smallest, at p."""
+    the largest 1-Lipschitz extension of f on N minus the smallest, at p.
+    """
 
     kind: VerdictKind
     norming: LipschitzFunction | None = None

@@ -12,6 +12,7 @@ import pytest
 import lipfree.cli as cli
 import lipfree.generators as generators
 from lipfree import build_space, build_system, closure, differentiability, make_function
+from lipfree import attains, potentials
 from lipfree import verify_norming
 from lipfree.errors import LipfreeError
 from lipfree.molecules import BetaMatrix
@@ -384,6 +385,48 @@ class TestReports:
         assert json.loads(out)["verified"] is True
         assert calls == {"decide": 1, "stability_bound": 1}
 
+    def test_stability_rechecks_the_frechet_verdict(self, capsys, monkeypatch):
+        # f = (0, 1, 1, 1/2) does not norm the pair (3, 0)
+        def forged(space, system):
+            return differentiability.DiffVerdict(
+                kind=differentiability.VerdictKind.FRECHET,
+                norming=make_function(space, [0, 1, 1, Fraction(1, 2)]),
+                coverage={p: (p, 0) if p else (1, 0) for p in space.points()},
+            )
+
+        monkeypatch.setattr(differentiability, "decide", forged)
+        code, out, err = run(
+            capsys,
+            "stability",
+            "--space", str(INPUTS / "star3.json"),
+            "--system", str(INPUTS / "star3_sys.json"),
+            "--function", str(INPUTS / "star3_g_near.json"),
+            "--eps", "1/16",
+        )
+        assert (code, out) == (3, "")
+        assert "does not norm every molecule" in err
+
+    def test_uncovered_decide_closes_its_family_twice(self, capsys, monkeypatch):
+        """Once in ``decide`` and once in the re-check; the printed gap is
+        the one ``decide`` found, not a third solve."""
+        calls = []
+
+        def counted(beta):
+            calls.append(beta)
+            return closure(beta)
+
+        monkeypatch.setattr(potentials, "closure", counted)
+        monkeypatch.setattr(differentiability, "closure", counted)
+        code, out, _ = run(
+            capsys,
+            "decide",
+            "--space", str(INPUTS / "rand32.json"),
+            "--system", str(INPUTS / "rand32_sys.json"),
+        )
+        assert code == 1
+        assert out == (INPUTS.parent / "decide-rand32-uncovered.out").read_text()
+        assert len(calls) == 2
+
     def test_coverage_prefix(self, capsys, tmp_path):
         star = {
             "labels": ["0", "1", "2"],
@@ -415,6 +458,41 @@ class TestReports:
         )
         assert first == second
         assert first == dumps_canonical(json.loads(first))
+
+
+class TestEmptyFamily:
+    """``decompose`` writes the zero element as a family with no pairs."""
+
+    @pytest.fixture
+    def empty(self, capsys, docs, tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"coeffs": {}}))
+        code, out, _ = run(capsys, "decompose", "--space", docs["tri"], "--element", str(zero))
+        assert (code, json.loads(out)) == (0, {"pairs": [], "total_weight": 0, "weights": []})
+        path = tmp_path / "empty_sys.json"
+        path.write_text(out)
+        return str(path)
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_attains_answers_true_like_the_library(self, capsys, docs, empty, oracle):
+        code, out, _ = run(capsys, "attains", "--space", docs["tri"], "--system", empty, *oracle)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["attains"], report["norm"], report["total_weight"]) == (True, 0, 0)
+        assert "witness" not in report
+        space = build_space(TRI["labels"], TRI["dist"], TRI["base"])
+        assert attains(space, build_system(space, [], [])) is True
+
+    @pytest.mark.parametrize("command, extra", [
+        ("potentials", []),
+        ("norming", []),
+        ("gateaux-eps", ["--eps", "1/2"]),
+        ("coverage-prefix", ["--eps", "1/2"]),
+    ])
+    def test_commands_that_solve_the_family_refuse_it(self, capsys, docs, empty, command, extra):
+        code, out, err = run(capsys, command, "--space", docs["tri"], "--system", empty, *extra)
+        assert (code, out) == (2, "")
+        assert f"{empty} has no pairs" in err
 
 
 class _Full(io.RawIOBase):

@@ -251,6 +251,56 @@ class TestFrechetRecheck:
         assert outcomes[True] >= 40 and outcomes[False] >= 5, outcomes
 
 
+class TestUncoveredRecheck:
+    """An uncovered verdict is re-checked from f on N in raw Fractions: f
+    norms every pair, is 1-Lipschitz on N and leaves a positive gap at the
+    point, equal to the stated one when a gap is stated."""
+
+    def test_decide_states_the_gap(self):
+        space, system = uncovered_fixture()
+        verdict = decide(space, system)
+        assert (verdict.failure, verdict.extension_gap) == (Uncovered(point=B), 1)
+        recheck_verdict(space, system, verdict)
+
+    def test_wrong_stated_gap_rejected(self):
+        space, system = uncovered_fixture()
+        forged = decide(space, system).replace(extension_gap=Fraction(1, 2))
+        with pytest.raises(CertificateMismatchError, match="stated extension gap 1/2 is not 1"):
+            recheck_verdict(space, system, forged)
+
+    @pytest.mark.parametrize("point", [0, A])
+    def test_covered_point_rejected(self, point):
+        space, system = uncovered_fixture()
+        forged = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(point))
+        with pytest.raises(CertificateMismatchError, match="actually covered"):
+            recheck_verdict(space, system, forged)
+
+    def test_covered_point_off_the_pairs_rejected(self):
+        # line 0-1-2 with the pair (2, 0): point 1 lies on its tight segment
+        line = gen_line(3)
+        system = build_system(line, [(2, 0)], [1])
+        assert decide(line, system).kind is VerdictKind.FRECHET
+        forged = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(1))
+        with pytest.raises(CertificateMismatchError, match="point 1 is actually covered"):
+            recheck_verdict(line, system, forged)
+
+    def test_verdict_without_a_gap_accepted(self):
+        space, system = uncovered_fixture()
+        recheck_verdict(space, system, DiffVerdict(kind=VerdictKind.NOT_GATEAUX,
+                                                   failure=Uncovered(B)))
+
+    def test_reads_no_coverage_slacks(self, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("the uncovered re-check shares decide's slacks")
+
+        monkeypatch.setattr(differentiability, "_function_slacks", unread)
+        monkeypatch.setattr(differentiability, "min_coverage_slack", unread)
+        space, system = uncovered_fixture()
+        verdict = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(B),
+                              extension_gap=Fraction(1))
+        recheck_verdict(space, system, verdict)
+
+
 class TestGateauxEps:
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
     def test_frechet_inputs_pass_every_eps(self, eps):

@@ -48,6 +48,7 @@ from lipfree import (
     NegativeCycleWitness,
     NotAttainingError,
     PartialFunction,
+    Uncovered,
     ValidationReport,
     VerdictKind,
     brute_dual_norm,
@@ -616,6 +617,34 @@ def test_coverage_slacks_match_fraction_reference(case, eps):
     assert coverage_eps_prefix(space, system, eps) == prefix
 
 
+@st.composite
+def anchored_pairs(draw):
+    """A space drawn by ``spaces`` and pairs (p, base) for a nonempty set of
+    points p: beta is zero, so the family attains and is rigid, and whether
+    a point is covered depends on the segments alone."""
+    space = draw(spaces(3, 9, segments=draw(st.booleans())))
+    points = draw(st.sets(st.integers(1, len(space) - 1), min_size=1))
+    return space, [(p, 0) for p in sorted(points)]
+
+
+@SETTINGS
+@given(st.one_of(spaces_with_pairs(), anchored_pairs()))
+def test_extension_gap_is_the_gap_between_the_extensions(case):
+    """An uncovered verdict at p states upper(p) - lower(p) > 0 for the two
+    extremal extensions of f on N; no other verdict states a gap."""
+    space, pairs = case
+    system = MoleculeSystem(pairs=tuple(pairs), weights=(Fraction(1, len(pairs)),) * len(pairs))
+    verdict = decide(space, system)
+    recheck_verdict(space, system, verdict)
+    if not isinstance(verdict.failure, Uncovered):
+        assert verdict.extension_gap is None
+        return
+    p = verdict.failure.point
+    partial = build_on_N(space, system.pairs, closure(beta_matrix(space, system.pairs)))
+    upper, lower = extend_upper(space, partial), extend_lower(space, partial)
+    assert verdict.extension_gap == upper.values[p] - lower.values[p] > 0
+
+
 def corrupted(space, rng):
     """The space with one symmetric entry of its integer form changed."""
     den, rows = space.scaled
@@ -670,6 +699,41 @@ def test_corrupted_scaled_form_never_passes_a_wrong_frechet_verdict():
             outcomes["mismatch"] += 1
             continue
         assert (verdict.kind, verdict.norming) == (truth.kind, truth.norming)
+        outcomes["agree"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_corrupted_scaled_form_never_passes_a_wrong_uncovered_verdict():
+    """An uncovered verdict from a corrupted integer form fails
+    ``recheck_verdict`` or names a point that is uncovered, with its true gap;
+    the re-check passes on a space whose ``scaled`` cannot be read."""
+    rng = random.Random(613)
+    outcomes = {"mismatch": 0, "agree": 0}
+    for trial in range(60):
+        space = gen_random(rng.randint(4, 10), trial)
+        # most points anchored, so that some corruptions uncover a covered point
+        pairs = [(p, 0) for p in range(1, len(space)) if rng.random() < 0.8] or [(1, 0)]
+        system = MoleculeSystem(pairs=tuple(pairs), weights=(Fraction(1, len(pairs)),) * len(pairs))
+        bad = corrupted(space, rng)
+        try:
+            verdict = decide(bad, system)
+        except CertificateMismatchError:  # caught by the Frechet branch's extension
+            continue
+        if not isinstance(verdict.failure, Uncovered):
+            continue
+        try:
+            recheck_verdict(bad, system, verdict)
+        except CertificateMismatchError:
+            outcomes["mismatch"] += 1
+            continue
+        p = verdict.failure.point
+        assert min_coverage_slack(space, system, p) > 0
+        partial = build_on_N(space, system.pairs, closure(beta_matrix(space, system.pairs)))
+        gap = extend_upper(space, partial).values[p] - extend_lower(space, partial).values[p]
+        assert verdict.extension_gap == gap
+        blind = space.replace()
+        object.__setattr__(blind, "scaled", None)
+        recheck_verdict(blind, system, verdict)
         outcomes["agree"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
