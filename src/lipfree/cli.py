@@ -4,7 +4,12 @@ Exit codes: 0 positive verdict or plain success, 1 negative verdict,
 2 input error (malformed documents, violated preconditions, size caps),
 3 internal certificate mismatch (failed self-verification or oracle
 disagreement) or any other internal fault, so a bug can never read as a
-negative verdict. Every certificate is re-verified before printing.
+negative verdict. Re-verified from the raw inputs before printing: the
+reports of ``norm``, ``attains``, ``decompose``, ``decide`` and
+``stability``, and every negative-cycle witness. Not yet re-verified: the
+table ``potentials`` prints, the extremality of ``norming``'s extensions,
+the reports of ``gateaux-eps`` and ``coverage-prefix``, and an isometric
+``l1-check``.
 
 Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
 and flushes the report, tags it ``"oracle": "agree"`` under ``--oracle``

@@ -95,8 +95,8 @@ class FiniteMetricSpace(Record):
     """A labelled point set with exact pairwise distances and a base point.
 
     ``scaled`` is ``dist`` as integers over a common denominator, worked out
-    on first read unless ``build_space`` already had it; every metric scan
-    reads it, and only the values it reports become Fractions.
+    on first read (``build_space``'s validation reads it first); every metric
+    scan reads it, and only the values it reports become Fractions.
     """
 
     labels: tuple[str, ...]
@@ -155,13 +155,13 @@ def validate_space(
 
 def _validate(
     labels: Sequence[str], dist: Sequence[Sequence], base: str, max_violations: int
-) -> tuple[ValidationReport, list[list[Fraction]], tuple]:
-    """``validate_space``'s report, the converted matrix and its integer form.
+) -> tuple[ValidationReport, FiniteMetricSpace]:
+    """``validate_space``'s report and the space it checked, valid or not.
 
-    Every check runs on the matrix scaled to one common denominator, which
-    keeps each sign, equality and sum comparison.
+    Every check runs on ``space.scaled``, the matrix over one common
+    denominator, which keeps each sign, equality and sum comparison.
     """
-    labels = [str(l) for l in labels]
+    labels = tuple(str(l) for l in labels)
     n = len(labels)
     if n == 0:
         raise InputError("space must contain at least one point")
@@ -173,13 +173,12 @@ def _validate(
         raise InputError("distance matrix must be a list of rows")
     if len(dist) != n or any(len(row) != n for row in dist):
         raise InputError(f"distance matrix must be {n}x{n}")
-    m = [
-        [x if type(x) is Fraction else as_fraction(x, f"dist[{i}][{j}]")
-         for j, x in enumerate(row)]
+    space = FiniteMetricSpace(labels=labels, base=labels.index(base), dist=tuple(
+        tuple(x if type(x) is Fraction else as_fraction(x, f"dist[{i}][{j}]")
+              for j, x in enumerate(row))
         for i, row in enumerate(dist)
-    ]
-    den, scaled = scale_to_integers(m)
-    scaled = tuple(map(tuple, scaled))
+    ))
+    den, scaled = space.scaled
     columns = list(zip(*scaled))
 
     violations: list[tuple[str, tuple[int, ...]]] = []
@@ -219,22 +218,18 @@ def _validate(
         ok=ok,
         violations=tuple(violations[:max_violations]),
         theta=Fraction(min(positives), den) if positives else None,
-        diameter=Fraction(max(map(max, scaled)), den),
+        diameter=space.diameter(),
     )
-    return report, m, (den, scaled)
+    return report, space
 
 
 def build_space(
     labels: Sequence[str], dist: Sequence[Sequence], base: str
 ) -> FiniteMetricSpace:
-    """Validate raw data and construct an immutable space; raise on failure."""
-    report, m, scaled = _validate(labels, dist, base, 100)
+    """Validate raw data and return the space validated; raise on failure."""
+    report, space = _validate(labels, dist, base, 100)
     if not report.ok:
         raise InvalidSpaceError(report)
-    labels = tuple(str(l) for l in labels)
-    rows = tuple(tuple(row) for row in m)
-    space = FiniteMetricSpace(labels=labels, base=labels.index(base), dist=rows)
-    object.__setattr__(space, "scaled", scaled)
     return space
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import CertificateMismatchError, InputError, exact
-from .metric import FiniteMetricSpace, floyd_warshall, scale_to_integers
+from .metric import FiniteMetricSpace, floyd_warshall
 from .molecules import BetaMatrix, beta_matrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -34,29 +34,28 @@ class NegativeCycleWitness(Record):
 class PotentialTable(Record):
     """Shortest-path closure B of beta plus the solution anchored at pair 0.
 
-    alphas[j] = B[j][anchor], with ``anchor`` always 0, so alphas[0] = 0.
-    ``rigid_pairs`` holds every unordered pair {j,k} (stored as (j,k), j<k)
-    with B[j][k]+B[k][j]=0; the solution is unique up to a constant iff all
-    pairs are rigid.
+    The one field, ``matrix``, is the BetaMatrix closed; ``beta`` is its
+    Fraction rows. alphas[j] = B[j][anchor], with ``anchor`` the constant 0,
+    so alphas[0] = 0. ``rigid_pairs`` holds every unordered pair {j,k}
+    (stored as (j,k), j<k) with B[j][k]+B[k][j]=0; the solution is unique up
+    to a constant iff all pairs are rigid.
 
     B, alphas, rigid_pairs and globally_unique are functions of beta, so
     they are not fields: they are built on first read from ``_closed``,
-    Floyd-Warshall run on a copy of ``_scaled``, beta as integers over some
-    common denominator, which ``closure`` hands over and which is otherwise
-    computed from beta. Tables of one beta are equal whatever that
-    denominator was.
+    Floyd-Warshall run on a copy of ``matrix.scaled``. Tables of one beta
+    are equal whatever denominator that integer form has.
     """
 
-    beta: Matrix
-    anchor: int
+    matrix: BetaMatrix
+    anchor = 0
 
-    @cached_property
-    def _scaled(self) -> tuple[int, Sequence[Sequence[int]]]:
-        return scale_to_integers(self.beta)
+    @property
+    def beta(self) -> Matrix:
+        return self.matrix.beta
 
     @cached_property
     def _closed(self) -> tuple[int, list[list[int]]]:
-        den, scaled = self._scaled
+        den, scaled = self.matrix.scaled
         rows = [list(row) for row in scaled]
         floyd_warshall(rows)
         if any(row[j] for j, row in enumerate(rows)):
@@ -126,8 +125,6 @@ def _find_negative_cycle(beta: list[list[int]]) -> list[int] | None:
                     touched = v
         if touched is None:
             return None
-    if touched is None:
-        return None
     # walk predecessors n steps to land inside the cycle, then collect it
     x = touched
     for _ in range(n):
@@ -162,9 +159,7 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
                 "predecessor walk must produce a negative cycle"
             )
         return NegativeCycleWitness(cycle=cycle, sum=total)
-    table = PotentialTable(beta=rows, anchor=0)
-    object.__setattr__(table, "_scaled", beta.scaled)
-    return table
+    return PotentialTable(matrix=beta)
 
 
 def tight_rigid_pairs(

@@ -146,19 +146,15 @@ def free_norm(
     space: FiniteMetricSpace, element: PointMassElement
 ) -> TransportCertificate:
     """Norm of a finitely supported element with mutually verifying certificates."""
-    balance = _balances(space, element)
-    if all(b == 0 for b in balance):
-        dual = LipschitzFunction(
-            values=(Fraction(0),) * len(space), lip_constant=Fraction(0), base_pinned=True
-        )
-        return TransportCertificate(value=Fraction(0), plan=(), dual=dual)
-    plan, pi = _solve_flow(space, balance)
+    plan, pi = _solve_flow(space, _balances(space, element))
     value = sum((m * space.d(s, t) for s, t, m in plan), Fraction(0))
     # the potentials are 1-Lipschitz and every leg is tight under them, so the
-    # constant is exactly 1; recheck_certificate recomputes it
+    # constant is exactly 1, or 0 when there is no leg and no search moved
+    # them; recheck_certificate recomputes it
     shift = pi[space.base]
     dual = LipschitzFunction(
-        values=tuple(p - shift for p in pi), lip_constant=Fraction(1), base_pinned=True
+        values=tuple(p - shift for p in pi), lip_constant=Fraction(1 if plan else 0),
+        base_pinned=True,
     )
     cert = TransportCertificate(value=value, plan=plan, dual=dual)
     recheck_certificate(space, element, cert)

@@ -18,7 +18,8 @@ with unequal weights. The last three pin plan and dual bytes where
 shortest-path ties decide the flow: ``norm`` on the 11-point star with a
 full-support mixed-sign element, ``norm`` on the 3-point line with an
 alternating-sign element, and ``decompose`` on the dense 40-point element.
-Inputs live in
+One more runs ``norm`` on the zero element of the 3-point space. Inputs
+live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -114,6 +115,8 @@ CASES = [
     ("norm-star10-mixed", ["norm", "--space", "{star10}", "--element", "{star10_elem}"], 0),
     ("norm-line-alternating", ["norm", "--space", "{line}", "--element", "{line_elem}"], 0),
     ("decompose-rand40", ["decompose", "--space", "{rand40}", "--element", "{rand40_elem}"], 0),
+    # the zero element: no leg, a dual of constant 0, re-checked like any other
+    ("norm-tri-zero", ["norm", "--space", "{tri}", "--element", "{zero}"], 0),
 ]
 
 
@@ -170,6 +173,7 @@ def input_docs():
         "line": {"labels": ["0", "1", "2"], "base": "0",
                  "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
         "elem": {"coeffs": {"a": "1/4", "b": "-1/2"}},
+        "zero": {"coeffs": {}},
         "sys_one": {"pairs": [["a", "0"]], "weights": [1]},
         "sys_bad": {"pairs": [["a", "0"], ["0", "b"]], "weights": ["1/2", "1/2"]},
         "line_pairs": {"pairs": [["1", "0"], ["2", "0"]]},

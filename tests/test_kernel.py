@@ -564,7 +564,7 @@ def test_validate_space_matches_fraction_reference(m, zeros):
 @given(spaces(1, 9, segments=True))
 def test_space_scaled_is_the_one_integer_form(space):
     den, rows = space.scaled
-    assert "scaled" in vars(space)  # seeded by build_space
+    assert "scaled" in vars(space)  # read by build_space's validation
     assert (den, [list(row) for row in rows]) == scale_to_integers(space.dist)
     fresh = FiniteMetricSpace(labels=space.labels, base=space.base, dist=space.dist)
     assert "scaled" not in vars(fresh)

@@ -14,6 +14,7 @@ from lipfree import (
     segment_eps,
     validate_space,
 )
+import lipfree.metric as metric
 from lipfree.metric import as_fraction
 from _instances import random_space
 
@@ -115,6 +116,15 @@ class TestValidateSpace:
             ]
             assert space.theta() == min(entries)
             assert space.diameter() == max(entries)
+
+    def test_build_space_scales_once(self, monkeypatch):
+        calls = []
+        scale = metric.scale_to_integers
+        monkeypatch.setattr(metric, "scale_to_integers",
+                            lambda rows: calls.append(rows) or scale(rows))
+        space = build_space(*LINE3)
+        assert space.theta() == 1 and space.diameter() == 2
+        assert len(calls) == 1
 
     def test_build_space_raises_on_invalid(self):
         with pytest.raises(InvalidSpaceError):

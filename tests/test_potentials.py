@@ -92,6 +92,24 @@ class TestClosure:
         assert not table.globally_unique
         assert table.rigid_pairs == frozenset()
 
+    def test_table_has_one_field_and_a_constant_anchor(self):
+        table = closure(beta_matrix(TRI, [(A, 0)]))
+        assert PotentialTable.__match_args__ == ("matrix",)
+        assert table.anchor == 0
+        with pytest.raises(TypeError):
+            table.replace(anchor=1)
+
+    def test_table_closes_the_integer_form_of_its_beta(self):
+        # the restricted rows keep the denominator 7 of the index they drop
+        seventh = Fraction(1, 7)
+        wide = BetaMatrix(((0, 1, seventh), (1, 0, seventh), (seventh, seventh, 0)))
+        sub = wide.restrict([0, 1])
+        assert sub.scaled[0] == 7
+        for matrix in (beta_matrix(TRI, [(A, 0), (B, 0)]), sub):
+            table = closure(matrix)
+            assert table.matrix is matrix and table.beta == matrix.beta
+            assert table._closed[0] == matrix.scaled[0]
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InputError):
             BetaMatrix(((1,),))

@@ -17,6 +17,7 @@ from lipfree import (
     recheck_certificate,
     to_point_masses,
 )
+import lipfree.transport as transport
 from _instances import random_space, random_system, random_weights
 
 TRI = build_space(["0", "a", "b"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]], "0")
@@ -50,6 +51,16 @@ class TestFreeNorm:
         assert cert.value == 0
         assert cert.plan == ()
         assert all(v == 0 for v in cert.dual.values)
+
+    def test_zero_element_is_rechecked_once(self, monkeypatch):
+        calls = []
+        recheck = transport.recheck_certificate
+        monkeypatch.setattr(transport, "recheck_certificate",
+                            lambda *args: calls.append(args) or recheck(*args))
+        element = element_from_coeffs(TRI, {})
+        cert = free_norm(TRI, element)
+        assert calls == [(TRI, element, cert)]
+        assert (cert.value, cert.plan, cert.dual.lip_constant) == (0, (), 0)
 
     def test_molecule_norm_one_for_every_pair(self):
         rng = random.Random(41)
