@@ -248,6 +248,17 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "LIPFREE_MAX_POINTS must be an integer, got 'abc'"),
+        ("0", "LIPFREE_MAX_POINTS must be positive"),
+    ], ids=["not-an-integer", "zero"])
+    def test_point_cap_env_must_be_a_positive_integer(self, capsys, docs, monkeypatch,
+                                                      raw, message):
+        monkeypatch.setenv("LIPFREE_MAX_POINTS", raw)
+        code, out, err = run(capsys, "validate", "--space", docs["tri"])
+        assert (code, out) == (2, "")
+        assert message in err
+
     @pytest.mark.parametrize(
         "kind, generator, size",
         [("star", "gen_star", 2), ("c0", "gen_c0_truncation", 2),

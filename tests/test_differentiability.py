@@ -301,6 +301,55 @@ class TestUncoveredRecheck:
         recheck_verdict(space, system, verdict)
 
 
+class TestForgedVerdicts:
+    """Each branch of ``recheck_verdict`` rejects a verdict forged in one field."""
+
+    @pytest.mark.parametrize("forge, message", [
+        (lambda star, v: v.replace(norming=None), "missing certificates"),
+        (lambda star, v: v.replace(coverage=None), "missing certificates"),
+        (lambda star, v: v.replace(norming=make_function(star, [x + 1 for x in v.norming.values])),
+         "must vanish at base"),
+        (lambda star, v: v.replace(norming=v.norming.replace(lip_constant=Fraction(1, 2))),
+         "constant is wrong"),
+        (lambda star, v: v.replace(coverage={p: st for p, st in v.coverage.items() if p != 2}),
+         "must mention every point"),
+    ], ids=["no-norming", "no-coverage", "off-base", "wrong-constant", "point-missing"])
+    def test_forged_frechet_field_rejected(self, forge, message):
+        star, system = star_system(3)
+        verdict = decide(star, system)
+        recheck_verdict(star, system, verdict)
+        with pytest.raises(CertificateMismatchError, match=message):
+            recheck_verdict(star, system, forge(star, verdict))
+
+    def test_point_off_its_segment_rejected(self):
+        # f = (0, 1, 0) norms the pair (1, 0) and is tight on it, but point 2
+        # of the star is not on the segment [0, 1]
+        star = gen_star(2)
+        system = build_system(star, [(1, 0)], [1])
+        forged = DiffVerdict(kind=VerdictKind.FRECHET, norming=make_function(star, [0, 1, 0]),
+                             coverage={p: (0, 1) for p in star.points()})
+        with pytest.raises(CertificateMismatchError, match="point 2 not on its segment"):
+            recheck_verdict(star, system, forged)
+
+    def test_verdict_without_a_failure_rejected(self):
+        space, system = uncovered_fixture()
+        with pytest.raises(CertificateMismatchError, match="carries no failure object"):
+            recheck_verdict(space, system, DiffVerdict(kind=VerdictKind.NOT_GATEAUX))
+
+    def test_non_unique_on_a_negative_cycle_rejected(self):
+        space, system = not_attaining_fixture()
+        forged = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN((0, 1)))
+        with pytest.raises(CertificateMismatchError, match="claimed on a negative cycle"):
+            recheck_verdict(space, system, forged)
+
+    def test_non_unique_on_a_rigid_pair_rejected(self):
+        star, system = star_system(3)
+        assert decide(star, system).kind is VerdictKind.FRECHET
+        forged = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN((0, 2)))
+        with pytest.raises(CertificateMismatchError, match=r"pair \(0, 2\) is actually rigid"):
+            recheck_verdict(star, system, forged)
+
+
 class TestGateauxEps:
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
     def test_frechet_inputs_pass_every_eps(self, eps):

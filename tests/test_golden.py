@@ -1,25 +1,9 @@
 """Byte-for-byte CLI goldens: the exact stdout and exit code of fixed invocations.
 
-Twenty cases are the invocations of the acceptance suite's golden matrix;
-ten run seeded random spaces of 16-40 points whose distances
-have mixed denominators, so any arithmetic change inside norms, witnesses,
-potentials or verdicts shows up as a byte difference. The last three pin
-``--oracle`` branches the others miss: a negative cycle under ``potentials``,
-and the vertex and cycle oracles at their size caps. Four more run
-``stability`` with a candidate function, and two run ``l1-check`` on
-11-point stars shaped like the benchmark's orient-l1 instances, one
-isometric and one failing first at orientation rank 256. Two more pin
-a potential table whose rigid pairs are neither none nor all, and an
-``attains`` verdict on the isometric 11-point star. Three pin both
-``norming`` extensions, ``validate``'s theta and diameter, and
-``gateaux-eps`` slacks at an eps whose denominator divides no distance's,
-all on the mixed-denominator spaces; one runs ``stability`` on a family
-with unequal weights. The last three pin plan and dual bytes where
-shortest-path ties decide the flow: ``norm`` on the 11-point star with a
-full-support mixed-sign element, ``norm`` on the 3-point line with an
-alternating-sign element, and ``decompose`` on the dense 40-point element.
-One more runs ``norm`` on the zero element of the 3-point space. Inputs
-live in
+``CASES`` is the only list of goldens: this file checks each case through
+``cli.main``, ``tests/test_process.py`` as a ``python -m lipfree.cli``
+process from the source tree, and CI through the installed ``lipfree``
+script and ``python -m lipfree.cli``. Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 
@@ -117,6 +101,12 @@ CASES = [
     ("decompose-rand40", ["decompose", "--space", "{rand40}", "--element", "{rand40_elem}"], 0),
     # the zero element: no leg, a dual of constant 0, re-checked like any other
     ("norm-tri-zero", ["norm", "--space", "{tri}", "--element", "{zero}"], 0),
+    # decide's not_attaining and non_unique_on_n reports, and norming on a
+    # negative cycle
+    ("decide-tri-bad", ["decide", "--space", "{tri}", "--system", "{sys_bad}"], 1),
+    ("decide-rand16-non-unique", ["decide", "--space", "{rand16}",
+                                  "--system", "{rand16_rigid_sys}"], 1),
+    ("norming-tri-bad", ["norming", "--space", "{tri}", "--system", "{sys_bad}"], 1),
 ]
 
 
@@ -131,6 +121,12 @@ def test_cli_golden(name, template, expected, capsys):
     out = capsys.readouterr().out
     assert code == expected, (name, code)
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+
+
+def test_cases_are_the_golden_files():
+    names = [name for name, _, _ in CASES]
+    assert len(names) == len(set(names))
+    assert set(names) == {path.stem for path in GOLDEN.glob("*.out")}
 
 
 # ---------------------------------------------------------------- regeneration

@@ -8,6 +8,7 @@ import pytest
 
 from lipfree import (
     BetaMatrix,
+    CertificateMismatchError,
     InputError,
     NegativeCycleWitness,
     PotentialTable,
@@ -256,6 +257,19 @@ class TestTightRigidPairs:
                  if k != j and alphas[k] == alphas[j] + beta.beta[k][j]}
         assert tight == {(0, 1), (1, 0), (1, 2), (2, 1)}
         assert self.pairs_of(table) == {(0, 1), (0, 2), (1, 2)} == table.rigid_pairs
+
+
+class TestForgedWitness:
+    @pytest.mark.parametrize("cycle, message", [
+        ((0, 1, 0), "indices must be distinct"),
+        ((0, 2), "index out of range"),
+    ], ids=["repeated", "out-of-range"])
+    def test_forged_cycle_rejected(self, cycle, message):
+        beta = beta_matrix(TRI, [(A, 0), (0, B)])
+        witness = closure(beta)
+        recheck_witness(beta, witness)
+        with pytest.raises(CertificateMismatchError, match=message):
+            recheck_witness(beta, witness.replace(cycle=cycle))
 
 
 class TestCyclicalMonotonicity:

@@ -20,14 +20,6 @@ from test_golden import CASES, GOLDEN, argv_of
 SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = GOLDEN / "inputs"
 
-# exits 0, 1 and 2, a report far larger than the 8 KiB stdout buffer
-# (norm-rand40-dense) and empty reports (exit 2)
-PROCESS_GOLDENS = [
-    "decide-c06", "norm-rand40-dense", "validate-tri",
-    "l1-check-star8-short", "gateaux-eps-rand32", "attains-tri-bad",
-    "stability-star3-steep", "stability-star3-off-base",
-]
-
 # registers an atexit hook, then runs the module as ``python -m`` does
 ATEXIT_SCRIPT = """
 import atexit, os, runpy, sys
@@ -53,9 +45,7 @@ def lipfree(*argv, stdout=subprocess.PIPE, unbuffered=False, script=None):
                           stdout=stdout, stderr=subprocess.PIPE, timeout=120)
 
 
-@pytest.mark.parametrize("name,template,expected",
-                         [c for c in CASES if c[0] in PROCESS_GOLDENS],
-                         ids=[c[0] for c in CASES if c[0] in PROCESS_GOLDENS])
+@pytest.mark.parametrize("name,template,expected", CASES, ids=[c[0] for c in CASES])
 def test_golden_as_a_process(name, template, expected):
     done = lipfree(*argv_of(template))
     assert done.returncode == expected, (name, done.stderr)

@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from lipfree import (
+    CertificateMismatchError,
     attains,
     brute_dual_norm,
     build_space,
@@ -14,6 +17,7 @@ from lipfree import (
     element_from_coeffs,
     free_norm,
     gen_star,
+    make_function,
     recheck_certificate,
     to_point_masses,
 )
@@ -166,3 +170,27 @@ class TestDecompose:
             element = to_point_masses(space, system)
             redone = decompose_to_molecules(space, element)
             assert to_point_masses(space, redone).coeffs == element.coeffs
+
+
+class TestForgedCertificate:
+    """Each branch of ``recheck_certificate`` rejects a certificate forged in one field."""
+
+    @pytest.mark.parametrize("forge, message", [
+        (lambda c: c.replace(plan=((B, B, Fraction(1, 4)),) + c.plan[1:]), "endpoints invalid"),
+        (lambda c: c.replace(plan=((0, 3, Fraction(1, 4)),) + c.plan[1:]), "endpoints invalid"),
+        (lambda c: c.replace(plan=((0, B, Fraction(0)),) + c.plan[1:]), "mass must be positive"),
+        (lambda c: c.replace(plan=((0, B, Fraction(-1, 4)),) + c.plan[1:]),
+         "mass must be positive"),
+        (lambda c: c.replace(plan=c.plan[1:]), "does not balance"),
+        (lambda c: c.replace(value=c.value + 1), "differs from stated value"),
+        (lambda c: c.replace(dual=make_function(TRI, [v + 1 for v in c.dual.values])),
+         "must vanish at the base"),
+    ], ids=["loop", "out-of-range", "zero-mass", "negative-mass", "dropped-leg",
+            "wrong-value", "shifted-dual"])
+    def test_forged_field_rejected(self, forge, message):
+        element = element_from_coeffs(TRI, {A: Fraction(1, 4), B: Fraction(-1, 2)})
+        cert = free_norm(TRI, element)
+        assert cert.plan == ((0, B, Fraction(1, 4)), (A, B, Fraction(1, 4)))
+        recheck_certificate(TRI, element, cert)
+        with pytest.raises(CertificateMismatchError, match=message):
+            recheck_certificate(TRI, element, forge(cert))
