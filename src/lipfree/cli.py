@@ -6,10 +6,10 @@ Exit codes: 0 positive verdict or plain success, 1 negative verdict,
 disagreement) or any other internal fault, so a bug can never read as a
 negative verdict. Re-verified from the raw inputs before printing: the
 reports of ``norm``, ``attains``, ``decompose``, ``decide`` and
-``stability``, and every negative-cycle witness. Not yet re-verified: the
-table ``potentials`` prints, the extremality of ``norming``'s extensions,
-the reports of ``gateaux-eps`` and ``coverage-prefix``, and an isometric
-``l1-check``.
+``stability``, ``norming``'s two extensions, and every negative-cycle
+witness, on the pairs it is printed with. Not yet re-verified: the table
+``potentials`` prints, ``norming``'s values on N, the reports of
+``gateaux-eps`` and ``coverage-prefix``, and an isometric ``l1-check``.
 
 Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
 and flushes the report, tags it ``"oracle": "agree"`` under ``--oracle``
@@ -102,13 +102,31 @@ def _load_family(args):
     return space, system
 
 
-def _witness_doc(space, pairs, beta, witness) -> dict:
-    """Re-check a negative-cycle witness against beta, then render it."""
+def _witness_doc(space, pairs, witness) -> dict:
+    """Re-check a negative-cycle witness on the beta of ``pairs``, then render it."""
+    from .molecules import beta_matrix
     from .potentials import recheck_witness
     from .serialization import witness_to_doc
 
-    recheck_witness(beta, witness)
+    recheck_witness(beta_matrix(space, pairs), witness)
     return witness_to_doc(space, pairs, witness)
+
+
+def _close(args, space, pairs):
+    """``(table, None)``, or ``(None, witness doc)``; ``--oracle`` enumerates cycles too."""
+    from .potentials import check_cyclical_monotonicity
+
+    verdict = check_cyclical_monotonicity(space, pairs)
+    if getattr(args, "oracle", False):
+        from .molecules import beta_matrix
+        from .oracles import brute_cycles
+
+        min_sum, _ = brute_cycles(beta_matrix(space, pairs))
+        if (min_sum >= 0) != verdict.holds:
+            raise CertificateMismatchError("cycle enumeration oracle disagrees")
+    if verdict.holds:
+        return verdict.table, None
+    return None, _witness_doc(space, pairs, verdict.witness)
 
 
 def _code(positive: bool) -> int:
@@ -173,18 +191,16 @@ def cmd_norm(args) -> tuple[int, dict]:
 
 
 def cmd_attains(args) -> tuple[int, dict]:
-    from .molecules import beta_matrix, to_point_masses
-    from .potentials import NegativeCycleWitness, closure
+    from .molecules import to_point_masses
     from .serialization import render_rational
     from .transport import free_norm
 
     space, system = _load_system(args)
     cert = free_norm(space, to_point_masses(space, system))
     attained = cert.value == system.total_weight
-    beta = beta_matrix(space, system.pairs)
     # no pairs is the zero element: norm 0 equals total weight 0, no cycle to close
-    result = closure(beta) if system.pairs else None
-    if attained == isinstance(result, NegativeCycleWitness):
+    _, witness = _close(args, space, system.pairs) if system.pairs else (None, None)
+    if attained != (witness is None):
         raise CertificateMismatchError(
             "norm attainment and cyclical monotonicity disagree"
         )
@@ -193,14 +209,8 @@ def cmd_attains(args) -> tuple[int, dict]:
         "norm": render_rational(cert.value),
         "total_weight": render_rational(system.total_weight),
     }
-    if not attained:
-        report["witness"] = _witness_doc(space, system.pairs, beta, result)
-    if args.oracle:
-        from .oracles import brute_cycles
-
-        min_sum, _ = brute_cycles(beta)
-        if (min_sum >= 0) != attained:
-            raise CertificateMismatchError("cycle enumeration oracle disagrees")
+    if witness is not None:
+        report["witness"] = witness
     return _code(attained), report
 
 
@@ -220,38 +230,24 @@ def cmd_decompose(args) -> tuple[int, dict]:
 
 
 def cmd_potentials(args) -> tuple[int, dict]:
-    from .molecules import beta_matrix
-    from .potentials import NegativeCycleWitness, closure
     from .serialization import table_to_doc
 
     space, system = _load_family(args)
-    beta = beta_matrix(space, system.pairs)
-    result = closure(beta)
-    if args.oracle:
-        from .oracles import brute_cycles
-
-        min_sum, _ = brute_cycles(beta)
-        if (min_sum < 0) != isinstance(result, NegativeCycleWitness):
-            raise CertificateMismatchError("cycle enumeration oracle disagrees")
-    if isinstance(result, NegativeCycleWitness):
-        witness = _witness_doc(space, system.pairs, beta, result)
+    table, witness = _close(args, space, system.pairs)
+    if witness is not None:
         return EXIT_NEGATIVE, {"holds": False, "witness": witness}
-    return EXIT_OK, {"holds": True, **table_to_doc(result)}
+    return EXIT_OK, {"holds": True, **table_to_doc(table)}
 
 
 def cmd_norming(args) -> tuple[int, dict]:
-    from .molecules import beta_matrix
     from .norming import build_on_N, extend_lower, extend_upper
-    from .potentials import NegativeCycleWitness, closure
     from .serialization import function_to_doc, partial_to_doc
 
     space, system = _load_family(args)
-    beta = beta_matrix(space, system.pairs)
-    result = closure(beta)
-    if isinstance(result, NegativeCycleWitness):
-        witness = _witness_doc(space, system.pairs, beta, result)
+    table, witness = _close(args, space, system.pairs)
+    if witness is not None:
         return EXIT_NEGATIVE, {"holds": False, "witness": witness}
-    partial = build_on_N(space, system.pairs, result)
+    partial = build_on_N(space, system.pairs, table)
     upper = extend_upper(space, partial)
     lower = extend_lower(space, partial)
     return EXIT_OK, {
@@ -337,7 +333,6 @@ def cmd_coverage_prefix(args) -> tuple[int, dict]:
 
 def cmd_l1_check(args) -> tuple[int, dict]:
     from .differentiability import l1_basis_check
-    from .molecules import beta_matrix
     from .serialization import load_pairs_doc
 
     if args.max_pairs < 1:
@@ -351,12 +346,10 @@ def cmd_l1_check(args) -> tuple[int, dict]:
         (y, x) if flip else (x, y)
         for (x, y), flip in zip(pairs, verdict.orientation)
     ]
-    beta = beta_matrix(space, oriented)
-    witness = _witness_doc(space, oriented, beta, verdict.witness)
     return EXIT_NEGATIVE, {
         "isometric_l1": False,
         "orientation": list(verdict.orientation),
-        "witness": witness,
+        "witness": _witness_doc(space, oriented, verdict.witness),
     }
 
 

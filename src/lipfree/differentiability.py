@@ -34,7 +34,6 @@ from .norming import (
 )
 from .potentials import (
     NegativeCycleWitness,
-    PotentialTable,
     closure,
     recheck_witness,
     tight_rigid_pairs,
@@ -343,14 +342,23 @@ def recheck_verdict(
     alpha_k = f(y_k) join every two pair indices both ways, every norming g
     is f + c on N and on each tight segment of N; g(base) = 0 gives c = 0.
 
-    An uncovered verdict at p is proved from f on N in raw Fractions: if f norms
-    every pair and is 1-Lipschitz on N, a gap > 0 at p makes its two extremal
-    extensions, shifted to vanish at the base, two different norming functions.
+    A failure past attainment is proved from f on N, solved again: if f norms
+    every pair and is 1-Lipschitz on N in raw Fractions, alpha_k = f(y_k)
+    solve the constraints. A pair (j, k) that their tight arcs do not join
+    both ways is not rigid, so the norming functions are not unique. A gap > 0
+    at an uncovered point p makes the two extremal extensions of f, shifted
+    to vanish at the base, two different norming functions.
+
+    A failure names its indices as ``int``s (a ``bool`` is none): a point of
+    the space for ``Uncovered``, and for ``NonUniqueOnN`` a tuple of two
+    distinct pair indices, in either order. Any other index raises
+    ``CertificateMismatchError`` before the family is solved.
     """
+    pairs = system.pairs
+    beta = beta_matrix(space, pairs)
     if verdict.kind is VerdictKind.FRECHET:
         f = verdict.norming
         cov = verdict.coverage
-        pairs = system.pairs
         if f is None or cov is None:
             raise CertificateMismatchError("Frechet verdict missing certificates")
         if f.values[space.base] != 0:
@@ -359,8 +367,7 @@ def recheck_verdict(
             raise CertificateMismatchError("norming function constant is wrong")
         if any(f.values[x] - f.values[y] != space.d(x, y) for x, y in pairs):
             raise CertificateMismatchError("function does not norm every molecule")
-        alphas = [f.values[y] for _, y in pairs]
-        rigid = tight_rigid_pairs(beta_matrix(space, pairs).beta, alphas)
+        rigid = tight_rigid_pairs(beta.beta, [f.values[y] for _, y in pairs])
         if len(rigid) != len(pairs) * (len(pairs) - 1) // 2:
             raise CertificateMismatchError("norming function is not unique on N")
         if set(cov) != set(space.points()):
@@ -374,23 +381,32 @@ def recheck_verdict(
         return
     failure = verdict.failure
     if isinstance(failure, NotAttaining):
-        recheck_witness(beta_matrix(space, system.pairs), failure.witness)
+        recheck_witness(beta, failure.witness)
         return
     if not isinstance(failure, (NonUniqueOnN, Uncovered)):
         raise CertificateMismatchError("verdict carries no failure object")
-    table = closure(beta_matrix(space, system.pairs))
+    if isinstance(failure, NonUniqueOnN):
+        named, count, bound = failure.pair, 2, len(pairs)
+    else:
+        named, count, bound = (failure.point,), 1, len(space)
+    if not (isinstance(named, tuple) and len(named) == count
+            and all(type(i) is int and 0 <= i < bound for i in named)
+            and len(set(named)) == count):
+        raise CertificateMismatchError(
+            f"{failure}: indices must be {count} distinct ints in range({bound})")
+    table = closure(beta)
     if isinstance(table, NegativeCycleWitness):
         raise CertificateMismatchError(f"{failure} claimed on a negative cycle")
-    if isinstance(failure, NonUniqueOnN):
-        j, k = failure.pair
-        if table.B[j][k] + table.B[k][j] <= 0:
-            raise CertificateMismatchError(f"pair {failure.pair} is actually rigid")
-        return
-    p, f = failure.point, build_on_N(space, system.pairs, table).values
-    if any(f[x] - f[y] != space.d(x, y) for x, y in system.pairs):
+    f = build_on_N(space, pairs, table).values
+    if any(f[x] - f[y] != space.d(x, y) for x, y in pairs):
         raise CertificateMismatchError("f on N does not norm every molecule")
     if any(abs(f[a] - f[b]) > space.d(a, b) for a in f for b in f if a < b):
         raise CertificateMismatchError("f on N is not 1-Lipschitz")
+    if isinstance(failure, NonUniqueOnN):
+        if tuple(sorted(failure.pair)) in tight_rigid_pairs(beta.beta, [f[y] for _, y in pairs]):
+            raise CertificateMismatchError(f"pair {failure.pair} is actually rigid")
+        return
+    p = failure.point
     gap = min(f[a] + space.d(a, p) for a in f) - max(f[b] - space.d(b, p) for b in f)
     if gap <= 0:
         raise CertificateMismatchError(f"point {p} is actually covered")

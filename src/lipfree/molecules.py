@@ -112,34 +112,35 @@ def build_system(
     """
     if len(pairs) != len(weights):
         raise InputError("pairs and weights must have equal length")
-    checked: list[Pair] = []
-    for i, (x, y) in enumerate(pairs):
-        if not (0 <= x < len(space) and 0 <= y < len(space)):
-            raise InputError(f"pair {i}: point index out of range")
-        if x == y:
-            raise InputError(f"pair {i}: molecule endpoints must be distinct")
-        checked.append((x, y))
+    checked = _checked_pairs(space, pairs)
     ws = []
     for i, w in enumerate(weights):
         w = as_fraction(w, f"weight {i}")
         if w <= 0:
             raise InputError(f"weight {i} must be strictly positive")
         ws.append(w)
-    return MoleculeSystem(pairs=tuple(checked), weights=tuple(ws))
+    return MoleculeSystem(pairs=checked, weights=tuple(ws))
 
 
-def _pairs_of(system_or_pairs) -> tuple[Pair, ...]:
-    if isinstance(system_or_pairs, MoleculeSystem):
-        return system_or_pairs.pairs
-    return tuple((int(x), int(y)) for x, y in system_or_pairs)
+def _checked_pairs(space: FiniteMetricSpace, pairs) -> tuple[Pair, ...]:
+    """``pairs`` as a tuple; InputError unless each joins two distinct points."""
+    n = len(space)
+    for i, (x, y) in enumerate(pairs):
+        if not (0 <= x < n and 0 <= y < n):
+            raise InputError(f"pair {i}: point index out of range")
+        if x == y:
+            raise InputError(f"pair {i}: molecule endpoints must be distinct")
+    return tuple((x, y) for x, y in pairs)
 
 
 def beta_matrix(space: FiniteMetricSpace, system_or_pairs) -> BetaMatrix:
-    """beta[j][k] = d(x_j, y_k) - d(x_j, y_j), exactly; zero diagonal."""
-    pairs = _pairs_of(system_or_pairs)
-    for i, (x, y) in enumerate(pairs):
-        if x == y:
-            raise InputError(f"pair {i}: molecule endpoints must be distinct")
+    """beta[j][k] = d(x_j, y_k) - d(x_j, y_j), exactly; zero diagonal.
+
+    Pairs given as a system or as raw index pairs are checked alike.
+    """
+    if isinstance(system_or_pairs, MoleculeSystem):
+        system_or_pairs = system_or_pairs.pairs
+    pairs = _checked_pairs(space, [(int(x), int(y)) for x, y in system_or_pairs])
     d = space.dist
     rows = tuple(
         tuple(d[xj][yk] - d[xj][yj] for (_, yk) in pairs)

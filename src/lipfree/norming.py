@@ -113,14 +113,17 @@ def build_on_N(
 
 
 def _extension(
-    space: FiniteMetricSpace, partial: PartialFunction, op, pick
+    space: FiniteMetricSpace, partial: PartialFunction, sign: int
 ) -> LipschitzFunction:
-    """``pick`` over p in N of ``op(f(p), d(p, x))`` at every x, certified.
+    """At every x, the min (``sign`` 1) or max (-1) over a in N of f(a) + sign d(a, x).
 
     InputError unless the partial function has a domain and is 1-Lipschitz
     on it; the result's constant above 1 is an internal bug. Both scans run
     on integers over one denominator common to the space and the values; a
-    violation is confirmed on the Fractions before it is reported.
+    violation is confirmed on the Fractions before it is reported. Every
+    value is then re-checked on the raw Fractions, cross-multiplied as in
+    ``lipschitz_constant``: sign (f(a) - g(x)) + d(a, x) >= 0 for every a in
+    N, with equality for some.
     """
     dom = partial.domain
     if not dom:
@@ -137,10 +140,17 @@ def _extension(
                     f"partial function is not 1-Lipschitz on its domain: "
                     f"|f({p}) - f({q})| = {exact(gap)} > d = {exact(space.d(p, q))}"
                 )
+    op, pick = (add, min) if sign > 0 else (sub, max)
     columns = zip(*(d[p] for p in dom))
     out = make_function(space, [Fraction(pick(map(op, f, col)), den) for col in columns])
     if out.lip_constant > 1:
         raise CertificateMismatchError("a 1-Lipschitz extension has constant <= 1")
+    raw = [(partial.values[a].numerator, partial.values[a].denominator, a) for a in dom]
+    for x, (g, row) in enumerate(zip(out.values, space.dist)):
+        gn, gd = g.numerator, g.denominator
+        if min(sign * (fn * gd - gn * fd) * row[a].denominator + row[a].numerator * fd * gd
+               for fn, fd, a in raw):
+            raise CertificateMismatchError(f"extension at point {x} is no {pick.__name__} over N")
     return out
 
 
@@ -148,14 +158,14 @@ def extend_upper(
     space: FiniteMetricSpace, partial: PartialFunction
 ) -> LipschitzFunction:
     """Largest 1-Lipschitz extension: g1(x) = min over p in N of f(p) + d(p,x)."""
-    return _extension(space, partial, add, min)
+    return _extension(space, partial, 1)
 
 
 def extend_lower(
     space: FiniteMetricSpace, partial: PartialFunction
 ) -> LipschitzFunction:
     """Smallest 1-Lipschitz extension: g2(x) = max over p in N of f(p) - d(p,x)."""
-    return _extension(space, partial, sub, max)
+    return _extension(space, partial, -1)
 
 
 def verify_norming(

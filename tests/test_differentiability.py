@@ -4,17 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lipfree import (
     CertificateMismatchError,
     DiffVerdict,
     InputError,
+    MoleculeSystem,
+    NegativeCycleWitness,
     NonUniqueOnN,
     NotAttaining,
     NotAttainingError,
     ResourceLimitError,
     Uncovered,
     VerdictKind,
+    beta_matrix,
     brute_norming_uniqueness,
     build_on_N,
     build_space,
@@ -348,6 +353,57 @@ class TestForgedVerdicts:
         forged = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN((0, 2)))
         with pytest.raises(CertificateMismatchError, match=r"pair \(0, 2\) is actually rigid"):
             recheck_verdict(star, system, forged)
+
+    @pytest.mark.parametrize("failure", [
+        Uncovered(-1), Uncovered(-2), Uncovered(4), Uncovered(9), Uncovered(True),
+        Uncovered(Fraction(2)), Uncovered("2"),
+        NonUniqueOnN((0, 7)), NonUniqueOnN((0, -1)), NonUniqueOnN((0, 0)),
+        NonUniqueOnN((False, 0)), NonUniqueOnN((0,)), NonUniqueOnN((0, 1, 2)),
+        NonUniqueOnN([0, 1]),
+    ], ids=repr)
+    def test_index_outside_the_family_rejected_before_solving(self, failure, monkeypatch):
+        # the family (1, 0) on the 3-star leaves point 2 uncovered; -1 and -2
+        # would wrap to the points 2 and 1
+        star = gen_star(3)
+        system = build_system(star, [(1, 0)], [1])
+        verdict = decide(star, system)
+        assert verdict.failure == Uncovered(2)
+        recheck_verdict(star, system, verdict)
+
+        def solve(beta):
+            raise AssertionError("solved before the index was checked")
+
+        monkeypatch.setattr(differentiability, "closure", solve)
+        forged = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=failure)
+        with pytest.raises(CertificateMismatchError, match=r"distinct ints in range\("):
+            recheck_verdict(star, system, forged)
+
+    def test_non_unique_pair_in_either_order(self):
+        space, system = non_unique_fixture()
+        for pair in [(0, 1), (1, 0)]:
+            recheck_verdict(space, system, DiffVerdict(
+                kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN(pair)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.randoms(use_true_random=True))
+def test_non_unique_recheck_accepts_exactly_the_loose_pairs(rng):
+    """Tight arcs prove non-uniqueness at the pairs the closure finds loose,
+    on every attaining prefix of a family: loose pairs are rare on whole ones."""
+    space = random_space(rng, max_points=9)
+    pairs = random_system(rng, space).pairs
+    for m in range(2, len(pairs) + 1):
+        system = MoleculeSystem(pairs=pairs[:m], weights=(Fraction(1, m),) * m)
+        table = closure(beta_matrix(space, system.pairs))
+        if isinstance(table, NegativeCycleWitness):
+            continue
+        for j, k in ((j, k) for j in range(m) for k in range(m) if j != k):
+            forged = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN((j, k)))
+            if table.B[j][k] + table.B[k][j] > 0:
+                recheck_verdict(space, system, forged)
+            else:
+                with pytest.raises(CertificateMismatchError, match="is actually rigid"):
+                    recheck_verdict(space, system, forged)
 
 
 class TestGateauxEps:

@@ -738,6 +738,27 @@ def test_corrupted_scaled_form_never_passes_a_wrong_uncovered_verdict():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def test_corrupted_scaled_form_never_passes_a_wrong_extension():
+    """An extension built on a corrupted integer form fails its re-check on
+    the raw Fractions or equals the extension built on the true form."""
+    rng = random.Random(19)
+    outcomes = {"mismatch": 0, "agree": 0}
+    for trial in range(150):
+        space = gen_random(rng.randint(4, 10), trial)
+        pairs = [(rng.randrange(1, len(space)), 0)]
+        partial = build_on_N(space, pairs, closure(beta_matrix(space, pairs)))
+        bad = corrupted(space, rng)
+        for extend in (extend_upper, extend_lower):
+            try:
+                got = extend(bad, partial)
+            except CertificateMismatchError:
+                outcomes["mismatch"] += 1
+                continue
+            assert got == extend(space, partial)
+            outcomes["agree"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def test_rechecks_never_read_the_integer_form():
     """``recheck_certificate`` and the Frechet branch of ``recheck_verdict``
     pass on a space whose ``scaled`` cannot be read."""

@@ -7,10 +7,13 @@ import pytest
 
 from lipfree import (
     InputError,
+    MoleculeSystem,
     beta_matrix,
     build_space,
     build_system,
+    check_cyclical_monotonicity,
     gen_star,
+    l1_basis_check,
     to_point_masses,
 )
 from _instances import random_space, random_system
@@ -67,6 +70,21 @@ class TestBetaMatrix:
             system = random_system(rng, space)
             beta = beta_matrix(space, system)
             assert all(beta.beta[i][i] == 0 for i in range(beta.size))
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (1, -4), (0, 9), (4, 1)])
+    def test_raw_pair_out_of_range_rejected(self, pair):
+        # a negative index would wrap to a point counted from the end
+        star = gen_star(3)
+        for solve in (lambda: beta_matrix(star, [(1, 0), pair]),
+                      lambda: check_cyclical_monotonicity(star, [(1, 0), pair]),
+                      lambda: l1_basis_check(star, [(1, 0), pair])):
+            with pytest.raises(InputError, match="^pair 1: point index out of range$"):
+                solve()
+
+    def test_system_built_unchecked_is_checked(self):
+        forged = MoleculeSystem(pairs=((1, 0), (0, -1)), weights=(Fraction(1), Fraction(1)))
+        with pytest.raises(InputError, match="^pair 1: point index out of range$"):
+            beta_matrix(gen_star(3), forged)
 
 
 class TestToPointMasses:
