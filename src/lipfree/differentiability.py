@@ -352,7 +352,9 @@ def recheck_verdict(
     A failure names its indices as ``int``s (a ``bool`` is none): a point of
     the space for ``Uncovered``, and for ``NonUniqueOnN`` a tuple of two
     distinct pair indices, in either order. Any other index raises
-    ``CertificateMismatchError`` before the family is solved.
+    ``CertificateMismatchError`` before the family is solved. So do a
+    Frechet norming function without one value per point and a coverage
+    entry that is no tuple of two ints, before either is read.
     """
     pairs = system.pairs
     beta = beta_matrix(space, pairs)
@@ -361,6 +363,11 @@ def recheck_verdict(
         cov = verdict.coverage
         if f is None or cov is None:
             raise CertificateMismatchError("Frechet verdict missing certificates")
+        if len(f.values) != len(space):
+            raise CertificateMismatchError("norming function must have one value per point")
+        if not all(type(st) is tuple and len(st) == 2 and all(type(i) is int for i in st)
+                   for st in cov.values()):
+            raise CertificateMismatchError("every coverage entry must be a pair of ints")
         if f.values[space.base] != 0:
             raise CertificateMismatchError("norming function must vanish at base")
         if lipschitz_constant(space, f.values) != f.lip_constant or f.lip_constant > 1:

@@ -49,12 +49,14 @@ class LipschitzFunction(Record):
 def lipschitz_constant(space: FiniteMetricSpace, values: Sequence[Fraction]) -> Fraction:
     """Exact max of |f(p) - f(q)| / d(p,q); zero for fewer than two points.
 
-    With f(p) = a/b, f(q) = c/e and d(p, q) = r/s the ratio is
-    |a e - c b| s / (b e r), so the argmax is found by cross-multiplying the
-    raw numerators and denominators and one Fraction is built, for the
-    answer. Re-checks call this too, so it never reads ``space.scaled``.
+    With f(p) = a/b, f(q) = c/e and d(p, q) = r/s the ratio is |a e - c b| s
+    / (b e r): the argmax cross-multiplies raw numerators and denominators
+    and builds one Fraction. Re-checks call this too, so it never reads
+    ``space.scaled``; InputError unless there is one value per point.
     """
     n = len(space)
+    if len(values) != n:
+        raise InputError("function must assign a value to every point")
     nums = [values[p].numerator for p in range(n)]
     dens = [values[p].denominator for p in range(n)]
     best_num, best_den = 0, 1
@@ -73,8 +75,6 @@ def make_function(
 ) -> LipschitzFunction:
     """Freeze a value vector with its certified constant and base flag."""
     vals = tuple(Fraction(v) for v in values)
-    if len(vals) != len(space):
-        raise InputError("function must assign a value to every point")
     return LipschitzFunction(
         values=vals,
         lip_constant=lipschitz_constant(space, vals),
@@ -118,39 +118,37 @@ def _extension(
     """At every x, the min (``sign`` 1) or max (-1) over a in N of f(a) + sign d(a, x).
 
     InputError unless the partial function has a domain and is 1-Lipschitz
-    on it; the result's constant above 1 is an internal bug. Both scans run
-    on integers over one denominator common to the space and the values; a
-    violation is confirmed on the Fractions before it is reported. Every
-    value is then re-checked on the raw Fractions, cross-multiplied as in
-    ``lipschitz_constant``: sign (f(a) - g(x)) + d(a, x) >= 0 for every a in
-    N, with equality for some.
+    on it; the result's constant above 1 is an internal bug. Values found on
+    integers over one denominator common to the space and f are re-checked
+    on the raw Fractions as in ``lipschitz_constant``: sign (f(a) - g(x)) +
+    d(a, x) >= 0 for every a in N, zero for some. Then the term a = x makes
+    g equal f on N iff f is 1-Lipschitz there; only a mismatch seeks a pair.
     """
     dom = partial.domain
     if not dom:
         raise InputError("cannot extend a partial function with empty domain")
-    den, d, f = common_scale(space, [partial.values[p] for p in dom])
-    for a, p in enumerate(dom):
-        for b in range(a + 1, len(dom)):
-            q = dom[b]
-            if abs(f[a] - f[b]) > d[p][q]:
-                gap = abs(partial.values[p] - partial.values[q])
-                if gap <= space.d(p, q):
-                    raise CertificateMismatchError("integer distances disagree with the space")
-                raise InputError(
-                    f"partial function is not 1-Lipschitz on its domain: "
-                    f"|f({p}) - f({q})| = {exact(gap)} > d = {exact(space.d(p, q))}"
-                )
+    fv = partial.values
+    den, d, f = common_scale(space, [fv[p] for p in dom])
     op, pick = (add, min) if sign > 0 else (sub, max)
     columns = zip(*(d[p] for p in dom))
     out = make_function(space, [Fraction(pick(map(op, f, col)), den) for col in columns])
     if out.lip_constant > 1:
         raise CertificateMismatchError("a 1-Lipschitz extension has constant <= 1")
-    raw = [(partial.values[a].numerator, partial.values[a].denominator, a) for a in dom]
+    raw = [(fv[a].numerator, fv[a].denominator, a) for a in dom]
     for x, (g, row) in enumerate(zip(out.values, space.dist)):
         gn, gd = g.numerator, g.denominator
         if min(sign * (fn * gd - gn * fd) * row[a].denominator + row[a].numerator * fd * gd
                for fn, fd, a in raw):
             raise CertificateMismatchError(f"extension at point {x} is no {pick.__name__} over N")
+    if any(out.values[p] != fv[p] for p in dom):
+        for i, p in enumerate(dom):
+            for q in dom[i + 1:]:
+                if (gap := abs(fv[p] - fv[q])) > space.d(p, q):
+                    raise InputError(
+                        f"partial function is not 1-Lipschitz on its domain: "
+                        f"|f({p}) - f({q})| = {exact(gap)} > d = {exact(space.d(p, q))}"
+                    )
+        raise CertificateMismatchError("extension differs from f on N, which is 1-Lipschitz")
     return out
 
 

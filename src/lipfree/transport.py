@@ -193,6 +193,8 @@ def recheck_certificate(
 ) -> None:
     """Re-verify a transport certificate from raw inputs; raise on mismatch."""
     n = len(space)
+    if len(cert.dual.values) != n:
+        raise CertificateMismatchError("dual function must have one value per point")
     out = [Fraction(0)] * n
     for s, t, m in cert.plan:
         if not (0 <= s < n and 0 <= t < n) or s == t:

@@ -16,6 +16,7 @@ from lipfree import (
     NonUniqueOnN,
     NotAttaining,
     NotAttainingError,
+    PartialFunction,
     ResourceLimitError,
     Uncovered,
     VerdictKind,
@@ -318,7 +319,19 @@ class TestForgedVerdicts:
          "constant is wrong"),
         (lambda star, v: v.replace(coverage={p: st for p, st in v.coverage.items() if p != 2}),
          "must mention every point"),
-    ], ids=["no-norming", "no-coverage", "off-base", "wrong-constant", "point-missing"])
+        (lambda star, v: v.replace(norming=v.norming.replace(
+            values=v.norming.values + (Fraction(0),))), "one value per point"),
+        (lambda star, v: v.replace(norming=v.norming.replace(values=v.norming.values[:-1])),
+         "one value per point"),
+        (lambda star, v: v.replace(coverage={**v.coverage, 0: (1,)}), "pair of ints"),
+        (lambda star, v: v.replace(coverage={**v.coverage, 0: (1, 0, 2)}), "pair of ints"),
+        (lambda star, v: v.replace(coverage={**v.coverage, 0: list(v.coverage[0])}),
+         "pair of ints"),
+        (lambda star, v: v.replace(coverage={**v.coverage, 0: (Fraction(1), 0)}),
+         "pair of ints"),
+    ], ids=["no-norming", "no-coverage", "off-base", "wrong-constant", "point-missing",
+            "norming-too-long", "norming-too-short", "coverage-single", "coverage-triple",
+            "coverage-list", "coverage-fraction"])
     def test_forged_frechet_field_rejected(self, forge, message):
         star, system = star_system(3)
         verdict = decide(star, system)
@@ -670,8 +683,43 @@ class TestStability:
         assert stability_bound(star, system).K * eps == Fraction(1, 250)
         assert verify_stability(star, system, g, eps)
 
+    @pytest.mark.parametrize("resize", [lambda v: v + (Fraction(0),), lambda v: v[:-1]],
+                             ids=["too-long", "too-short"])
+    def test_candidate_of_the_wrong_length_rejected(self, resize):
+        star, system = star_system(3)
+        f = decide(star, system).norming
+        g = f.replace(values=resize(f.values))
+        bound = stability_bound(star, system)
+        with pytest.raises(InputError, match="must assign a value to every point"):
+            differentiability.stability_holds(star, system, f, bound, g, Fraction(1, 16))
+
     def test_non_frechet_rejected(self):
         space, system = uncovered_fixture()
         f = make_function(space, [0, 2, 1])
         with pytest.raises(InputError):
             verify_stability(space, system, f, Fraction(1, 16))
+
+
+def recheck_with_f_on_n(monkeypatch, values):
+    """Re-check an ``Uncovered(0)`` claim on the attaining family (1, 0), (2, 3)
+    of the 3-star, with ``build_on_N`` replaced to answer ``values``."""
+    star = gen_star(3)
+    system = build_system(star, [(1, 0), (2, 3)], [Fraction(1, 2)] * 2)
+    forged = PartialFunction(domain=tuple(values), values={p: Fraction(v) for p, v in values.items()})
+    monkeypatch.setattr(differentiability, "build_on_N", lambda space, pairs, table: forged)
+    recheck_verdict(star, system, DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(0)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: decide(build_space(["0"], [[0]], "0"), MoleculeSystem(pairs=(), weights=())),
+     InputError, "differentiability requires a space with >= 2 points"),
+    (lambda mp: stability_bound(gen_star(2), MoleculeSystem(pairs=(), weights=())),
+     InputError, "stability bound requires a nonempty system"),
+    (lambda mp: recheck_with_f_on_n(mp, {0: 0, 1: 0, 2: 0, 3: 0}),
+     CertificateMismatchError, "f on N does not norm every molecule"),
+    (lambda mp: recheck_with_f_on_n(mp, {0: 0, 1: 1, 2: 10, 3: 8}),
+     CertificateMismatchError, "f on N is not 1-Lipschitz"),
+], ids=["decide-one-point", "stability-empty", "recheck-f-not-norming", "recheck-f-not-lipschitz"])
+def test_unreached_error_branch(call, error, message, monkeypatch):
+    with pytest.raises(error, match=message):
+        call(monkeypatch)

@@ -133,3 +133,15 @@ class TestRepair:
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(InputError):
             repair_to_metric([[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_star(0), "star space needs at least one satellite"),
+    (lambda: gen_c0_truncation(1), "sup-norm truncation needs at least two sequence points"),
+    (lambda: gen_line(1), "line space needs at least two points"),
+    (lambda: gen_random(1, seed=0), "random space needs at least two points"),
+    (lambda: repair_to_metric([[0, 1], [1]]), "matrix must be square"),
+], ids=["star", "c0", "line", "random", "repair-non-square"])
+def test_degenerate_size_rejected(make, message):
+    with pytest.raises(InputError, match=message):
+        make()

@@ -208,3 +208,14 @@ class TestSegmentEps:
             segment_eps(space, 0, 1, Fraction(0))
         with pytest.raises(InputError):
             segment_eps(space, 0, 1, Fraction(-1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_space(["0"], [[0]], "0").theta(), "theta requires a space with at least 2 points"),
+    (lambda: build_space([], [], "0"), "space must contain at least one point"),
+    (lambda: build_space(["0", "1"], [[0, 1], 1], "0"), "distance matrix must be a list of rows"),
+    (lambda: segment_eps(build_space(*LINE3), 1, 1, Fraction(1)), "segment endpoints must be distinct"),
+], ids=["theta-one-point", "empty", "dist-not-rows", "segment-eps-one-endpoint"])
+def test_degenerate_space_call_rejected(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

@@ -12,6 +12,7 @@ from lipfree import (
     build_space,
     build_system,
     check_cyclical_monotonicity,
+    element_from_coeffs,
     gen_star,
     l1_basis_check,
     to_point_masses,
@@ -136,3 +137,13 @@ class TestToPointMasses:
                     total[p] = total.get(p, Fraction(0)) + c
             total = {p: c for p, c in total.items() if c != 0}
             assert to_point_masses(space, merged).coeffs == total
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_system(TRI, [(A, 0), (B, 0)], [1]), "pairs and weights must have equal length"),
+    (lambda: element_from_coeffs(TRI, {3: Fraction(1)}), "coefficient index 3 out of range"),
+    (lambda: element_from_coeffs(TRI, {-1: Fraction(1)}), "coefficient index -1 out of range"),
+], ids=["unequal-lengths", "coefficient-past-end", "coefficient-negative"])
+def test_malformed_family_or_element_rejected(build, message):
+    with pytest.raises(InputError, match=message):
+        build()

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lipfree import (
+    CertificateMismatchError,
+    FiniteMetricSpace,
     InputError,
     PartialFunction,
     build_on_N,
@@ -123,6 +125,27 @@ class TestExtensions:
         with pytest.raises(InputError):
             extend_lower(TRI, partial)
 
+    @pytest.mark.parametrize("extend", [extend_upper, extend_lower])
+    def test_non_lipschitz_partial_names_the_first_pair(self, extend):
+        # (0, b) and (a, b) both break f; the mismatch is at b for the upper
+        # extension and at 0 for the lower one, and both name (0, b)
+        values = {0: Fraction(0), A: Fraction(1), B: Fraction(7, 2)}
+        partial = PartialFunction(domain=(0, A, B), values=values)
+        with pytest.raises(InputError) as raised:
+            extend(TRI, partial)
+        assert str(raised.value) == (
+            "partial function is not 1-Lipschitz on its domain: |f(0) - f(2)| = 7/2 > d = 1")
+
+    @pytest.mark.parametrize("extend", [extend_upper, extend_lower])
+    def test_mismatch_on_n_without_a_breaking_pair_is_internal(self, extend):
+        # a space built without validation, with d(0, 0) = 1: g(0) = f(0) +- 1
+        # while N = {0} has no pair to name
+        one = Fraction(1)
+        bent = FiniteMetricSpace(labels=("0", "a"), base=0, dist=((one, one), (one, Fraction(0))))
+        partial = PartialFunction(domain=(0,), values={0: Fraction(0)})
+        with pytest.raises(CertificateMismatchError, match="differs from f on N"):
+            extend(bent, partial)
+
     def test_four_tightness_inequalities(self):
         rng = random.Random(79)
         checked = 0
@@ -164,6 +187,16 @@ class TestVerifyNorming:
         system = build_system(space, [(n, 0) for n in range(1, 6)], [1] * 5)
         assert verify_norming(space, system, f)
 
+    @pytest.mark.parametrize("resize", [lambda v: v + (Fraction(0),), lambda v: v[:-1]],
+                             ids=["too-long", "too-short"])
+    def test_function_of_the_wrong_length_rejected(self, resize):
+        star = gen_star(3)
+        f = make_function(star, [0, 1, 1, 1])
+        system = build_system(star, [(n, 0) for n in range(1, 4)], [1] * 3)
+        assert verify_norming(star, system, f)
+        with pytest.raises(InputError, match="must assign a value to every point"):
+            verify_norming(star, system, f.replace(values=resize(f.values)))
+
     def test_rejects_expanding_functions(self):
         f = make_function(TRI, [0, 5, 0])
         system = build_system(TRI, [(A, 0)], [1])
@@ -183,3 +216,9 @@ class TestVerifyNorming:
             partial = build_on_N(space, system.pairs, verdict.table)
             for extend in (extend_upper, extend_lower):
                 assert verify_norming(space, system, extend(space, partial))
+
+
+@pytest.mark.parametrize("extend", [extend_upper, extend_lower])
+def test_extension_of_an_empty_domain_rejected(extend):
+    with pytest.raises(InputError, match="cannot extend a partial function with empty domain"):
+        extend(TRI, PartialFunction(domain=(), values={}))

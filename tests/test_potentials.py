@@ -304,3 +304,8 @@ class TestCyclicalMonotonicity:
                 continue
             found += 1
             recheck_witness(beta_matrix(space, system.pairs), verdict.witness)
+
+
+def test_closure_of_an_empty_beta_rejected():
+    with pytest.raises(InputError, match="beta matrix must be nonempty"):
+        closure(BetaMatrix(beta=()))

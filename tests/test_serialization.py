@@ -24,6 +24,7 @@ TRI_DOC = {
     "base": "0",
     "dist": [[0, 2, 1], [2, 0, 2], [1, 2, 0]],
 }
+SPACE = load_space_doc(TRI_DOC)
 
 
 class TestRationals:
@@ -138,3 +139,23 @@ class TestCanonicalDump:
 def test_parse_rejects_loose_syntax(loose):
     with pytest.raises(InputError):
         parse_rational(loose)
+
+
+@pytest.mark.parametrize("load, message", [
+    (lambda: load_space_doc([TRI_DOC]), "space document must be a JSON object"),
+    (lambda: load_space_doc({"labels": ["0"], "base": "0"}), "space document missing key 'dist'"),
+    (lambda: load_space_doc({**TRI_DOC, "dist": [[0, 2, 1], 5, [1, 2, 0]]}),
+     r"space dist must be a matrix \(list of rows\)"),
+    (lambda: load_system_doc(SPACE, {"pairs": {"a": "0"}, "weights": [1]}),
+     "system document needs a 'pairs' list"),
+    (lambda: load_system_doc(SPACE, {"pairs": [["a", "0"]], "weights": "1"}),
+     "system document needs a 'weights' list"),
+    (lambda: load_element_doc(SPACE, {"coeffs": [["a", 1]]}),
+     "element document needs a 'coeffs' object"),
+    (lambda: load_function_doc(SPACE, {"values": [0, 2, 1]}),
+     "function document needs a 'values' object"),
+], ids=["not-an-object", "missing-key", "dist-not-rows", "pairs-not-list", "weights-not-list",
+        "coeffs-not-object", "values-not-object"])
+def test_malformed_document_rejected(load, message):
+    with pytest.raises(InputError, match=message):
+        load()

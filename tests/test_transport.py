@@ -185,8 +185,12 @@ class TestForgedCertificate:
         (lambda c: c.replace(value=c.value + 1), "differs from stated value"),
         (lambda c: c.replace(dual=make_function(TRI, [v + 1 for v in c.dual.values])),
          "must vanish at the base"),
+        (lambda c: c.replace(dual=c.dual.replace(values=c.dual.values + (Fraction(0),))),
+         "one value per point"),
+        (lambda c: c.replace(dual=c.dual.replace(values=c.dual.values[:-1])),
+         "one value per point"),
     ], ids=["loop", "out-of-range", "zero-mass", "negative-mass", "dropped-leg",
-            "wrong-value", "shifted-dual"])
+            "wrong-value", "shifted-dual", "dual-too-long", "dual-too-short"])
     def test_forged_field_rejected(self, forge, message):
         element = element_from_coeffs(TRI, {A: Fraction(1, 4), B: Fraction(-1, 2)})
         cert = free_norm(TRI, element)
