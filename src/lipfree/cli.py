@@ -45,6 +45,16 @@ EXIT_MISMATCH = 3
 
 DEFAULT_MAX_POINTS = 512
 
+# each ``gen`` kind: its generator in ``lipfree.generators`` and the number
+# of points it adds to ``--size`` (the base of a star or a c0 truncation);
+# ``random`` alone reads ``--seed`` and ``--profile``
+GEN_KINDS = {
+    "star": ("gen_star", 1),
+    "c0": ("gen_c0_truncation", 1),
+    "line": ("gen_line", 0),
+    "random": ("gen_random", 0),
+}
+
 
 def _max_points() -> int:
     raw = os.environ.get("LIPFREE_MAX_POINTS", "")
@@ -144,9 +154,7 @@ def cmd_validate(args) -> tuple[int, dict]:
     return _code(report.ok), {
         "ok": report.ok,
         "theta": None if report.theta is None else render_rational(report.theta),
-        "diameter": None
-        if report.diameter is None
-        else render_rational(report.diameter),
+        "diameter": render_rational(report.diameter),
         "violations": [[kind, list(idx)] for kind, idx in report.violations],
     }
 
@@ -155,20 +163,11 @@ def cmd_gen(args) -> tuple[int, dict]:
     from . import generators
     from .serialization import space_to_doc
 
-    points = args.size + 1 if args.kind in ("star", "c0", "c0_truncation") else args.size
-    if points > _max_points():
+    name, added = GEN_KINDS[args.kind]
+    if args.size + added > _max_points():
         raise InputError("generated space exceeds the point cap")
-    if args.kind == "star":
-        space = generators.gen_star(args.size)
-    elif args.kind in ("c0", "c0_truncation"):
-        space = generators.gen_c0_truncation(args.size)
-    elif args.kind == "line":
-        space = generators.gen_line(args.size)
-    elif args.kind == "random":
-        space = generators.gen_random(args.size, args.seed, args.profile)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown generator kind {args.kind!r}")
-    return EXIT_OK, space_to_doc(space)
+    extra = (args.seed, args.profile) if args.kind == "random" else ()
+    return EXIT_OK, space_to_doc(getattr(generators, name)(args.size, *extra))
 
 
 def cmd_norm(args) -> tuple[int, dict]:
@@ -422,10 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "gen",
         cmd_gen,
         **{
-            "--kind": {
-                "choices": ["star", "c0", "c0_truncation", "line", "random"],
-                "required": True,
-            },
+            "--kind": {"choices": list(GEN_KINDS), "required": True},
             "--size": {"type": int, "required": True},
             "--seed": {"type": int, "default": 0},
             "--profile": {

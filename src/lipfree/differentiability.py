@@ -315,6 +315,8 @@ def stability_holds(
 ) -> bool:
     """``verify_stability`` given the family's norming function f and its bound."""
     eps = positive_eps(eps)
+    if len(f.values) != len(space):
+        raise InputError("norming function must assign a value to every point")
     lip = lipschitz_constant(space, g.values)
     if lip > 1:
         raise InputError(f"candidate function has Lipschitz constant {exact(lip)} > 1")

@@ -81,14 +81,15 @@ class ValidationReport(Record):
     """Outcome of checking a raw labelled distance matrix.
 
     ``theta`` is the minimal positive distance and ``diameter`` the maximal
-    one; both are computed exactly even when validation fails, and ``theta``
-    is None when no positive entry exists.
+    entry; both are computed exactly even when validation fails. ``theta``
+    is None when no positive entry exists; ``diameter`` is always a
+    ``Fraction``, 0 on a single point.
     """
 
     ok: bool
     violations: tuple[tuple[str, tuple[int, ...]], ...]
     theta: Fraction | None
-    diameter: Fraction | None
+    diameter: Fraction
 
 
 class FiniteMetricSpace(Record):

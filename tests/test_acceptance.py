@@ -40,6 +40,7 @@ from lipfree import (
     verify_stability,
 )
 from _instances import random_space, random_system
+from test_golden import CASES, GOLDEN, argv_of
 
 ATTAINMENT_SEED = 1003
 DIFFERENTIABILITY_SEED = 2003
@@ -257,104 +258,13 @@ def test_criterion_7a_certificate_reverification():
     )
 
 
-@pytest.fixture()
-def golden_docs(tmp_path):
-    def write(name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def space_doc(space):
-        from lipfree.serialization import space_to_doc
-
-        return space_to_doc(space)
-
-    def system_doc(space, system):
-        from lipfree.serialization import system_to_doc
-
-        return system_to_doc(space, system)
-
-    tri = {
-        "labels": ["0", "a", "b"],
-        "base": "0",
-        "dist": [[0, 2, 1], [2, 0, 2], [1, 2, 0]],
-    }
-    broken = {
-        "labels": ["0", "1", "2"],
-        "base": "0",
-        "dist": [[0, 1, 4], [1, 0, 1], [4, 1, 0]],
-    }
-    line = {
-        "labels": ["0", "1", "2"],
-        "base": "0",
-        "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
-    }
-    star8 = gen_star(8)
-    star5 = gen_star(5)
-    star3 = gen_star(3)
-    c06 = gen_c0_truncation(6)
-    return {
-        "tri": write("tri.json", tri),
-        "broken": write("broken.json", broken),
-        "line": write("line.json", line),
-        "elem": write("elem.json", {"coeffs": {"a": "1/4", "b": "-1/2"}}),
-        "sys_one": write("sys_one.json", {"pairs": [["a", "0"]], "weights": [1]}),
-        "sys_bad": write(
-            "sys_bad.json",
-            {"pairs": [["a", "0"], ["0", "b"]], "weights": ["1/2", "1/2"]},
-        ),
-        "line_pairs": write(
-            "line_pairs.json", {"pairs": [["1", "0"], ["2", "0"]]}
-        ),
-        "star8": write("star8.json", space_doc(star8)),
-        "star8_sys": write(
-            "star8_sys.json", system_doc(star8, anchored_system(star8, 8))
-        ),
-        "star5": write("star5.json", space_doc(star5)),
-        "star5_sys": write(
-            "star5_sys.json", system_doc(star5, anchored_system(star5, 5))
-        ),
-        "star3": write("star3.json", space_doc(star3)),
-        "star3_sys": write(
-            "star3_sys.json", system_doc(star3, anchored_system(star3, 3))
-        ),
-        "c06": write("c06.json", space_doc(c06)),
-        "c06_sys": write("c06_sys.json", system_doc(c06, anchored_system(c06, 6))),
-    }
-
-
-def test_criterion_7b_cli_golden_matrix(golden_docs, capsys):
-    d = golden_docs
-    matrix = [
-        (["validate", "--space", d["tri"]], 0),
-        (["validate", "--space", d["broken"]], 1),
-        (["gen", "--kind", "star", "--size", "8"], 0),
-        (["gen", "--kind", "c0", "--size", "6"], 0),
-        (["gen", "--kind", "random", "--size", "5", "--seed", "3"], 0),
-        (["gen", "--kind", "line", "--size", "4"], 0),
-        (["norm", "--space", d["tri"], "--element", d["elem"], "--oracle"], 0),
-        (["attains", "--space", d["tri"], "--system", d["sys_bad"], "--oracle"], 1),
-        (["attains", "--space", d["star8"], "--system", d["star8_sys"]], 0),
-        (["decompose", "--space", d["tri"], "--element", d["elem"]], 0),
-        (["potentials", "--space", d["tri"], "--system", d["sys_one"], "--oracle"], 0),
-        (["potentials", "--space", d["tri"], "--system", d["sys_bad"]], 1),
-        (["norming", "--space", d["tri"], "--system", d["sys_one"]], 0),
-        (["gateaux-eps", "--space", d["tri"], "--system", d["sys_one"], "--eps", "1/2"], 1),
-        (["decide", "--space", d["tri"], "--system", d["sys_one"], "--oracle"], 1),
-        (["decide", "--space", d["c06"], "--system", d["c06_sys"]], 0),
-        (["coverage-prefix", "--space", d["star5"], "--system", d["star5_sys"], "--eps", "1/2"], 0),
-        (["l1-check", "--space", d["line"], "--system", d["line_pairs"]], 1),
-        (["l1-check", "--space", d["star8"], "--system", d["star8_sys"]], 0),
-        (["stability", "--space", d["star3"], "--system", d["star3_sys"]], 0),
-    ]
-    assert len(matrix) == 20
-    for argv, expected in matrix:
-        code_first = cli.main(list(argv))
-        out_first = capsys.readouterr().out
-        code_second = cli.main(list(argv))
-        out_second = capsys.readouterr().out
-        assert code_first == code_second == expected, (argv, code_first)
-        assert out_first == out_second, f"unstable output for {argv}"
-        assert out_first, f"no report printed for {argv}"
-        json.loads(out_first)
-    _passed(7, "20 golden CLI invocations, exit codes and bytes stable")
+def test_criterion_7b_cli_golden_matrix(capsys):
+    # every golden case, run twice in one process: its exit code and bytes
+    for name, template, expected in CASES:
+        golden = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+        if expected in (0, 1):
+            json.loads(golden)  # a report: non-empty JSON
+        for _ in range(2):
+            code = cli.main(argv_of(template))
+            assert (code, capsys.readouterr().out) == (expected, golden), name
+    _passed(7, f"{len(CASES)} golden CLI invocations, exit codes and bytes stable")

@@ -23,27 +23,14 @@ from lipfree.serialization import dumps_canonical, load_function_doc
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 TRI = {"labels": ["0", "a", "b"], "base": "0", "dist": [[0, 2, 1], [2, 0, 2], [1, 2, 0]]}
-BROKEN = {"labels": ["0", "1", "2"], "base": "0", "dist": [[0, 1, 4], [1, 0, 1], [4, 1, 0]]}
 
 
 @pytest.fixture
 def docs(tmp_path):
-    def write(name, payload):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    return {
-        "tri": write("tri.json", TRI),
-        "broken": write("broken.json", BROKEN),
-        "elem": write("elem.json", {"coeffs": {"a": "1/4", "b": "-1/2"}}),
-        "sys_one": write("sys_one.json", {"pairs": [["a", "0"]], "weights": [1]}),
-        "sys_bad": write(
-            "sys_bad.json",
-            {"pairs": [["a", "0"], ["0", "b"]], "weights": ["1/2", "1/2"]},
-        ),
-        "garbage": write("garbage.json", {"nope": 1}),
-    }
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text(json.dumps({"nope": 1}))
+    names = ("tri", "broken", "elem", "sys_one", "sys_bad")
+    return {"garbage": str(garbage), **{name: str(INPUTS / f"{name}.json") for name in names}}
 
 
 def run(capsys, *argv):
@@ -108,6 +95,17 @@ class TestExitCodes:
     def test_unknown_command_is_exit_two(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_removed_gen_kind_is_exit_two(self, capsys):
+        code, out, err = run(capsys, "gen", "--kind", "c0_truncation", "--size", "2")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'c0_truncation'" in err
+
+    def test_stability_of_a_non_frechet_family_is_exit_two(self, capsys, docs):
+        code, out, err = run(capsys, "stability", "--space", docs["tri"],
+                             "--system", docs["sys_one"])
+        assert (code, out) == (2, "")
+        assert "stability bound applies to Frechet points only" in err
 
     def test_gateaux_eps_requires_attaining_system(self, capsys, docs):
         code, _, err = run(
@@ -220,9 +218,10 @@ class TestExitCodes:
         assert "labels" in err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_l1_pair_cap_below_one_is_input_error(self, capsys, docs, monkeypatch, cap):
+    def test_l1_pair_cap_below_one_is_input_error(self, capsys, docs, monkeypatch, tmp_path,
+                                                  cap):
         # refused before any document is read, even a family with no pairs
-        no_pairs = str(Path(docs["tri"]).with_name("no_pairs.json"))
+        no_pairs = str(tmp_path / "no_pairs.json")
         Path(no_pairs).write_text(json.dumps({"pairs": []}))
         assert run(capsys, "l1-check", "--space", docs["tri"], "--system", no_pairs)[0] == 0
         read = []
@@ -282,6 +281,14 @@ class TestExitCodes:
 
 
 class TestReports:
+    def test_validate_one_point_space(self, capsys, tmp_path):
+        space = tmp_path / "one.json"
+        space.write_text(json.dumps({"labels": ["0"], "base": "0", "dist": [[0]]}))
+        code, out, _ = run(capsys, "validate", "--space", str(space))
+        assert code == 0
+        assert '"theta": null' in out and '"diameter": 0' in out
+        assert json.loads(out) == {"ok": True, "theta": None, "diameter": 0, "violations": []}
+
     def test_gen_star_document(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "star", "--size", "2")
         assert code == 0

@@ -693,6 +693,18 @@ class TestStability:
         with pytest.raises(InputError, match="must assign a value to every point"):
             differentiability.stability_holds(star, system, f, bound, g, Fraction(1, 16))
 
+    @pytest.mark.parametrize("resize", [lambda v: v + (Fraction(100),), lambda v: v[:-1]],
+                             ids=["too-long", "too-short"])
+    def test_norming_function_of_the_wrong_length_rejected(self, resize):
+        # read unchecked, a short f raised IndexError and a long one passed
+        star = gen_star(3)
+        system = build_system(star, [(p, 0) for p in range(1, 4)], [Fraction(1, 3)] * 3)
+        g = decide(star, system).norming
+        f = g.replace(values=resize(g.values))
+        bound = stability_bound(star, system)
+        with pytest.raises(InputError, match="must assign a value to every point"):
+            differentiability.stability_holds(star, system, f, bound, g, Fraction(1, 16))
+
     def test_non_frechet_rejected(self):
         space, system = uncovered_fixture()
         f = make_function(space, [0, 2, 1])

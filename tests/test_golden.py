@@ -1,9 +1,10 @@
 """Byte-for-byte CLI goldens: the exact stdout and exit code of fixed invocations.
 
 ``CASES`` is the only list of goldens: this file checks each case through
-``cli.main``, ``tests/test_process.py`` as a ``python -m lipfree.cli``
-process from the source tree, and CI through the installed ``lipfree``
-script and ``python -m lipfree.cli``. Inputs live in
+``cli.main``, criterion 7 of ``tests/test_acceptance.py`` twice in one
+process, ``tests/test_process.py`` as a ``python -m lipfree.cli`` process
+from the source tree, and CI through the installed ``lipfree`` script and
+``python -m lipfree.cli``. Inputs live in
 ``tests/golden/inputs/`` and the expected stdout of case ``name`` in
 ``tests/golden/<name>.out``.
 

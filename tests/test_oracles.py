@@ -85,6 +85,9 @@ class TestBruteDualNorm:
                     if p != q:
                         assert abs(vec[p] - vec[q]) <= TRI.d(p, q)
 
+    def test_one_point_space_has_the_zero_vertex_alone(self):
+        assert dual_vertices(build_space(["0"], [[0]], "0")) == ((Fraction(0),),)
+
     def test_matches_flow_solver(self):
         rng = random.Random(315)
         for _ in range(40):
