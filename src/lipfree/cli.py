@@ -56,13 +56,24 @@ GEN_KINDS = {
 }
 
 
+def _integer(raw: str) -> int:
+    """``int(raw)`` for ASCII ``-?[0-9]+`` only, not the separators, spaces, plus
+    sign and non-ASCII digits ``int`` takes; the error reads as ``type=int``'s."""
+    if raw.isascii() and raw.removeprefix("-").isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+
+
 def _max_points() -> int:
     raw = os.environ.get("LIPFREE_MAX_POINTS", "")
     if not raw:
         return DEFAULT_MAX_POINTS
     try:
-        cap = int(raw)
-    except ValueError:
+        cap = _integer(raw)
+    except argparse.ArgumentTypeError:
         raise InputError(f"LIPFREE_MAX_POINTS must be an integer, got {raw!r}")
     if cap < 1:
         raise InputError("LIPFREE_MAX_POINTS must be positive")
@@ -417,19 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_arg = {"action": "store_true", "help": "cross-check with brute force"}
 
     add("validate", cmd_validate, **{"--space": space_arg})
-    add(
-        "gen",
-        cmd_gen,
-        **{
-            "--kind": {"choices": list(GEN_KINDS), "required": True},
-            "--size": {"type": int, "required": True},
-            "--seed": {"type": int, "default": 0},
-            "--profile": {
-                "choices": ["generic", "near-degenerate"],
-                "default": "generic",
-            },
-        },
-    )
+    add("gen", cmd_gen, **{
+        "--kind": {"choices": list(GEN_KINDS), "required": True},
+        "--size": {"type": _integer, "required": True},
+        "--seed": {"type": _integer, "default": 0},
+        "--profile": {"choices": ["generic", "near-degenerate"], "default": "generic"},
+    })
     add("norm", cmd_norm, **{"--space": space_arg, "--element": element_arg, "--oracle": oracle_arg})
     add("attains", cmd_attains, **{"--space": space_arg, "--system": system_arg, "--oracle": oracle_arg})
     add("decompose", cmd_decompose, **{"--space": space_arg, "--element": element_arg})
@@ -438,25 +442,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add("gateaux-eps", cmd_gateaux_eps, **{"--space": space_arg, "--system": system_arg, "--eps": eps_arg})
     add("decide", cmd_decide, **{"--space": space_arg, "--system": system_arg, "--oracle": oracle_arg})
     add("coverage-prefix", cmd_coverage_prefix, **{"--space": space_arg, "--system": system_arg, "--eps": eps_arg})
-    add(
-        "l1-check",
-        cmd_l1_check,
-        **{
-            "--space": space_arg,
-            "--system": system_arg,
-            "--max-pairs": {"type": int, "default": 20},
-        },
-    )
-    add(
-        "stability",
-        cmd_stability,
-        **{
-            "--space": space_arg,
-            "--system": system_arg,
-            "--function": {"default": None, "help": "candidate function JSON"},
-            "--eps": {"default": None, "help": "positive rational"},
-        },
-    )
+    add("l1-check", cmd_l1_check, **{
+        "--space": space_arg,
+        "--system": system_arg,
+        "--max-pairs": {"type": _integer, "default": 20},
+    })
+    add("stability", cmd_stability, **{
+        "--space": space_arg,
+        "--system": system_arg,
+        "--function": {"default": None, "help": "candidate function JSON"},
+        "--eps": {"default": None, "help": "positive rational"},
+    })
     return parser
 
 

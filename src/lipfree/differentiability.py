@@ -115,12 +115,31 @@ def _function_slacks(space, partial, eps=0) -> tuple[int, Sequence[Sequence[int]
     ``d`` is the metric and ``slacks`` lists ``(s, t, d(t, s) - (f(t) - f(s)))``
     over ordered pairs of distinct points of N, in ``(s, t)`` order; it does
     not depend on the point to cover, so every coverage question about one
-    family reads this one list.
+    family reads this one list through ``_coverage``.
     """
     N = partial.domain
     den, d, (eps, *f) = common_scale(space, [eps, *(partial.values[p] for p in N)])
     f = dict(zip(N, f))
     return den, d, [(s, t, d[t][s] - (f[t] - f[s])) for s in N for t in N if s != t], eps
+
+
+def _coverage(d, slacks, points, e):
+    """``(p, slack, s, t)`` for each point p, on ``_function_slacks``'s integers.
+
+    The slack of (s, t) at p is the larger of p's segment excess
+    d(s, p) + d(t, p) - d(s, t) >= 0 and the function slack of (s, t); the
+    pair is the first of ``slacks`` whose slack at p is below e, else the one
+    of least ``(slack, s, t)``.
+    """
+    near = [(s, t, fun) for s, t, fun in slacks if fun < e]
+    for p in points:
+        for s, t, fun in near:
+            if (excess := d[s][p] + d[t][p] - d[s][t]) < e:
+                yield p, max(excess, fun), s, t
+                break
+        else:
+            best = min((max(d[s][p] + d[t][p] - d[s][t], fun), s, t) for s, t, fun in slacks)
+            yield (p, *best)
 
 
 def _solve(space: FiniteMetricSpace, system: MoleculeSystem, eps=0):
@@ -148,15 +167,13 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
     loose = [(j, k) for j in range(n) for k in range(j + 1, n) if (j, k) not in table.rigid_pairs]
     if loose:
         return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=NonUniqueOnN(loose[0]))
-    tight = [(s, t) for s, t, slack in slacks if slack == 0]
     coverage: dict[int, tuple[int, int]] = {}
-    for p in space.points():
-        hit = next(((s, t) for s, t in tight if d[s][p] + d[t][p] == d[s][t]), None)
-        if hit is None:
+    for p, slack, s, t in _coverage(d, slacks, space.points(), 1):
+        if slack:
             f = partial.values
             gap = min(f[a] + space.d(a, p) for a in f) - max(f[b] - space.d(b, p) for b in f)
             return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(p), extension_gap=gap)
-        coverage[p] = hit
+        coverage[p] = (s, t)
     # full coverage pins the free constant, so normalise at the base point
     g1 = extend_upper(space, partial)
     shift = g1.values[space.base]
@@ -171,23 +188,10 @@ def check_gateaux_eps(
     eps = positive_eps(eps)
     table, _, (den, d, slacks, e) = _solve(space, system, eps)
     n = len(system.pairs)
-    cond_i = tuple(
-        (j, k)
-        for j in range(n)
-        for k in range(j + 1, n)
-        if table.B[j][k] + table.B[k][j] >= eps
-    )
-    cond_ii: dict[int, tuple[int, int, Fraction]] = {}
-    for p in space.points():
-        best: tuple[int, int, int] | None = None
-        for s, t, fun_slack in slacks:
-            slack = max(d[s][p] + d[t][p] - d[s][t], fun_slack)
-            if slack < e:
-                break
-            if best is None or (slack, s, t) < best:
-                best = (slack, s, t)
-        else:
-            cond_ii[p] = (best[1], best[2], Fraction(best[0], den))
+    cond_i = tuple((j, k) for j in range(n) for k in range(j + 1, n)
+                   if table.B[j][k] + table.B[k][j] >= eps)
+    cond_ii = {p: (s, t, Fraction(slack, den))
+               for p, slack, s, t in _coverage(d, slacks, space.points(), e) if slack >= e}
     return GateauxEpsReport(cond_i=cond_i, cond_ii=cond_ii)
 
 
@@ -200,9 +204,8 @@ def min_coverage_slack(
     the point in the cond_ii failure set of check_gateaux_eps.
     """
     _, _, (den, d, slacks, _) = _solve(space, system)
-    return Fraction(min(
-        max(d[s][point] + d[t][point] - d[s][t], slack) for s, t, slack in slacks
-    ), den)
+    ((_, slack, _, _),) = _coverage(d, slacks, [point], 0)
+    return Fraction(slack, den)
 
 
 def coverage_eps_prefix(
@@ -223,17 +226,13 @@ def coverage_eps_prefix(
     for upto, pair in enumerate(system.pairs, 1):
         for x in pair:
             first.setdefault(x, upto)
-    usable = sorted(
-        (max(first[s], first[t]), s, t) for s, t, slack in slacks if slack < eps
-    )
+    usable = sorted((x for x in slacks if x[2] < eps),
+                    key=lambda x: (max(first[x[0]], first[x[1]]), x))
     needed = 0
-    for p in space.points():
-        upto = next(
-            (u for u, s, t in usable if d[s][p] + d[t][p] < d[s][t] + eps), None
-        )
-        if upto is None:
+    for _, slack, s, t in _coverage(d, usable, space.points(), eps):
+        if slack >= eps:
             return None
-        needed = max(needed, upto)
+        needed = max(needed, first[s], first[t])
     return needed
 
 

@@ -97,9 +97,6 @@ class PointMassElement(Record):
 
     coeffs: dict[int, Fraction]
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 def build_system(
     space: FiniteMetricSpace,

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
 from .errors import CertificateMismatchError, InputError, exact
-from .metric import FiniteMetricSpace, common_scale
+from .metric import FiniteMetricSpace, as_fraction, common_scale
 from .molecules import MoleculeSystem, Pair
 
 if TYPE_CHECKING:
@@ -73,8 +73,8 @@ def lipschitz_constant(space: FiniteMetricSpace, values: Sequence[Fraction]) -> 
 def make_function(
     space: FiniteMetricSpace, values: Sequence[Fraction]
 ) -> LipschitzFunction:
-    """Freeze a value vector with its certified constant and base flag."""
-    vals = tuple(Fraction(v) for v in values)
+    """Freeze exact values (int or Fraction) with their certified constant and base flag."""
+    vals = tuple(as_fraction(v, "function value") for v in values)
     return LipschitzFunction(
         values=vals,
         lip_constant=lipschitz_constant(space, vals),

@@ -225,6 +225,8 @@ def recheck_witness(beta: BetaMatrix, witness: NegativeCycleWitness) -> None:
     """Re-verify a negative-cycle witness from the raw matrix alone."""
     n = beta.size
     cyc = witness.cycle
+    if any(type(i) is not int for i in cyc):
+        raise CertificateMismatchError("witness cycle indices must be ints")
     if len(cyc) < 2 or len(set(cyc)) != len(cyc):
         raise CertificateMismatchError("witness cycle indices must be distinct")
     if any(not (0 <= i < n) for i in cyc):

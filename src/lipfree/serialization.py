@@ -200,14 +200,6 @@ def load_element_doc(space: FiniteMetricSpace, doc: dict) -> PointMassElement:
     return element_from_coeffs(space, parsed)
 
 
-def element_to_doc(space: FiniteMetricSpace, element: PointMassElement) -> dict:
-    return {
-        "coeffs": {
-            space.labels[p]: render_rational(c) for p, c in element.coeffs.items()
-        }
-    }
-
-
 def function_to_doc(space: FiniteMetricSpace, f: LipschitzFunction) -> dict:
     return {
         "values": {

@@ -196,7 +196,11 @@ def recheck_certificate(
     if len(cert.dual.values) != n:
         raise CertificateMismatchError("dual function must have one value per point")
     out = [Fraction(0)] * n
-    for s, t, m in cert.plan:
+    for leg in cert.plan:
+        if not (type(leg) is tuple and len(leg) == 3 and type(leg[0]) is type(leg[1]) is int
+                and type(leg[2]) in (int, Fraction)):
+            raise CertificateMismatchError("plan leg must be two int endpoints and an exact mass")
+        s, t, m = leg
         if not (0 <= s < n and 0 <= t < n) or s == t:
             raise CertificateMismatchError("plan leg endpoints invalid")
         if m <= 0:

@@ -6,6 +6,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -250,7 +251,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("raw, message", [
         ("abc", "LIPFREE_MAX_POINTS must be an integer, got 'abc'"),
         ("0", "LIPFREE_MAX_POINTS must be positive"),
-    ], ids=["not-an-integer", "zero"])
+        ("1_0", "LIPFREE_MAX_POINTS must be an integer, got '1_0'"),
+        (" 5", "LIPFREE_MAX_POINTS must be an integer, got ' 5'"),
+        ("+5", "LIPFREE_MAX_POINTS must be an integer, got '+5'"),
+        ("\u0665", "LIPFREE_MAX_POINTS must be an integer, got '\u0665'"),
+        ("9" * 5000, f"LIPFREE_MAX_POINTS must be an integer, got '{'9' * 5000}'"),
+    ], ids=["not-an-integer", "zero", "separator", "space", "plus", "arabic-indic-digit",
+            "too-many-digits"])
     def test_point_cap_env_must_be_a_positive_integer(self, capsys, docs, monkeypatch,
                                                       raw, message):
         monkeypatch.setenv("LIPFREE_MAX_POINTS", raw)
@@ -278,6 +285,52 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "cap" in err
+
+    # int() reads each of these; an integer flag takes ASCII -?[0-9]+ only
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "star", "--size", "\u0663"],
+        ["gen", "--kind", "line", "--size", "1_0"],
+        ["gen", "--kind", "random", "--size", "3", "--seed", "+1"],
+        ["l1-check", "--space", str(INPUTS / "tri.json"), "--system", str(INPUTS / "sys_one.json"),
+         "--max-pairs", " 3"],
+        ["gen", "--kind", "random", "--size", "3", "--seed", "9" * 5000],
+    ], ids=["size-arabic-indic-digit", "size-separator", "seed-plus", "max-pairs-space",
+            "seed-too-many-digits"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"invalid int value: {argv[-1]!r}" in err
+
+
+class TestCrossChecks:
+    """Each second opinion a command asks for, made to disagree, exits 3 and prints nothing."""
+
+    @pytest.mark.parametrize("target, fake, argv, message", [
+        ("lipfree.oracles.brute_cycles", lambda beta: (Fraction(-1), None),
+         ["attains", "--space", "tri", "--system", "sys_one", "--oracle"],
+         "cycle enumeration oracle disagrees"),
+        ("lipfree.oracles.brute_dual_norm", lambda space, element: Fraction(7),
+         ["norm", "--space", "tri", "--element", "elem", "--oracle"],
+         "oracle disagreement: vertex sweep 7, solver 3/4"),
+        ("lipfree.potentials.check_cyclical_monotonicity",
+         lambda space, pairs: SimpleNamespace(holds=True, table=None, witness=None),
+         ["attains", "--space", "tri", "--system", "sys_bad"],
+         "norm attainment and cyclical monotonicity disagree"),
+        ("lipfree.potentials.check_cyclical_monotonicity",
+         lambda space, pairs: SimpleNamespace(holds=False),
+         ["decompose", "--space", "tri", "--element", "elem"],
+         "decomposition is not cyclically monotone"),
+        ("lipfree.oracles.brute_norming_uniqueness", lambda space, system: True,
+         ["decide", "--space", "tri", "--system", "sys_one", "--oracle"],
+         "norming uniqueness oracle disagrees"),
+    ], ids=["close-oracle", "norm-oracle", "attains-cycle-check", "decompose-monotone",
+            "decide-oracle"])
+    def test_disagreement_is_exit_three(self, capsys, docs, monkeypatch, target, fake, argv,
+                                        message):
+        monkeypatch.setattr(target, fake)
+        code, out, err = run(capsys, *(docs.get(word, word) for word in argv))
+        assert (code, out) == (3, "")
+        assert f"lipfree: certificate mismatch: {message}" in err
 
 
 class TestReports:

@@ -472,6 +472,13 @@ class TestGateauxEps:
             report = check_gateaux_eps(space, system, slack / 2)
             assert point in report.cond_ii
 
+    def test_tie_of_least_slack_goes_to_the_least_pair(self):
+        # (1, 2) and (2, 1) both have slack 3 at point 0: the report names
+        # the least (s, t), whatever order the slack list runs in
+        space = build_space(["0", "1", "2"], [[0, 2, 2], [2, 0, 1], [2, 1, 0]], "0")
+        system = build_system(space, [(1, 2)], [1])
+        assert check_gateaux_eps(space, system, Fraction(1)).cond_ii[0] == (1, 2, 3)
+
 
 class TestCoveragePrefix:
     def test_star_needs_every_pair(self):

@@ -222,3 +222,11 @@ class TestVerifyNorming:
 def test_extension_of_an_empty_domain_rejected(extend):
     with pytest.raises(InputError, match="cannot extend a partial function with empty domain"):
         extend(TRI, PartialFunction(domain=(), values={}))
+
+
+@pytest.mark.parametrize("values", [
+    [0, 0.1, 1], [0, 1, True], [0, "1/2", 1],
+], ids=["float", "bool", "string"])
+def test_make_function_takes_exact_values_only(values):
+    with pytest.raises(InputError, match="function value: expected an exact rational"):
+        make_function(TRI, values)

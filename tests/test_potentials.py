@@ -263,7 +263,9 @@ class TestForgedWitness:
     @pytest.mark.parametrize("cycle, message", [
         ((0, 1, 0), "indices must be distinct"),
         ((0, 2), "index out of range"),
-    ], ids=["repeated", "out-of-range"])
+        ((False, True), "indices must be ints"),
+        ((0.0, 1.0), "indices must be ints"),
+    ], ids=["repeated", "out-of-range", "bool-indices", "float-indices"])
     def test_forged_cycle_rejected(self, cycle, message):
         beta = beta_matrix(TRI, [(A, 0), (0, B)])
         witness = closure(beta)

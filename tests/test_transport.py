@@ -189,8 +189,15 @@ class TestForgedCertificate:
          "one value per point"),
         (lambda c: c.replace(dual=c.dual.replace(values=c.dual.values[:-1])),
          "one value per point"),
+        (lambda c: c.replace(plan=((False, B, Fraction(1, 4)),) + c.plan[1:]), "two int endpoints"),
+        (lambda c: c.replace(plan=((0, B, 0.25),) + c.plan[1:]), "an exact mass"),
+        (lambda c: c.replace(plan=((0, B),) + c.plan[1:]), "two int endpoints"),
+        (lambda c: c.replace(plan=(("0", B, Fraction(1, 4)),) + c.plan[1:]), "two int endpoints"),
+        (lambda c: c.replace(plan=((Fraction(0), B, Fraction(1, 4)),) + c.plan[1:]),
+         "two int endpoints"),
     ], ids=["loop", "out-of-range", "zero-mass", "negative-mass", "dropped-leg",
-            "wrong-value", "shifted-dual", "dual-too-long", "dual-too-short"])
+            "wrong-value", "shifted-dual", "dual-too-long", "dual-too-short",
+            "bool-endpoint", "float-mass", "two-tuple-leg", "str-endpoint", "fraction-endpoint"])
     def test_forged_field_rejected(self, forge, message):
         element = element_from_coeffs(TRI, {A: Fraction(1, 4), B: Fraction(-1, 2)})
         cert = free_norm(TRI, element)
