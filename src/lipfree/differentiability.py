@@ -24,8 +24,8 @@ from .errors import (
     ResourceLimitError,
     exact,
 )
-from .metric import FiniteMetricSpace, common_scale, positive_eps
-from .molecules import MoleculeSystem, Pair, beta_matrix
+from .metric import FiniteMetricSpace, as_int, common_scale, is_exact, is_index, positive_eps
+from .molecules import MoleculeSystem, Pair, _checked_pairs, beta_matrix
 from .norming import (
     LipschitzFunction,
     build_on_N,
@@ -203,6 +203,8 @@ def min_coverage_slack(
     Zero iff the point is exactly covered; any eps at most this value keeps
     the point in the cond_ii failure set of check_gateaux_eps.
     """
+    if not is_index(point, len(space)):
+        raise InputError(f"point index {point!r} out of range")
     _, _, (den, d, slacks, _) = _solve(space, system)
     ((_, slack, _, _),) = _coverage(d, slacks, [point], 0)
     return Fraction(slack, den)
@@ -253,9 +255,9 @@ def l1_basis_check(
     equal entry for entry to the beta of the oriented pairs. ``restrict``
     also cuts its integer rows out of the one scaled form of that beta.
     """
-    if max_pairs < 1:
+    if as_int(max_pairs, "max_pairs") < 1:
         raise InputError("max_pairs must be positive")
-    pairs = tuple((int(x), int(y)) for x, y in pairs)
+    pairs = _checked_pairs(space, pairs)
     n = len(pairs)
     if n == 0:
         return L1Verdict(isometric=True, orientation=None, witness=None)
@@ -314,8 +316,9 @@ def stability_holds(
 ) -> bool:
     """``verify_stability`` given the family's norming function f and its bound."""
     eps = positive_eps(eps)
-    if len(f.values) != len(space):
-        raise InputError("norming function must assign a value to every point")
+    if len(f.values) != len(space) or not all(map(is_exact, f.values)):
+        raise InputError(
+            "norming function must assign a value to every point, each an int or a Fraction")
     lip = lipschitz_constant(space, g.values)
     if lip > 1:
         raise InputError(f"candidate function has Lipschitz constant {exact(lip)} > 1")
@@ -350,12 +353,12 @@ def recheck_verdict(
     at an uncovered point p makes the two extremal extensions of f, shifted
     to vanish at the base, two different norming functions.
 
-    A failure names its indices as ``int``s (a ``bool`` is none): a point of
+    A failure names its indices as ``metric.is_index`` reads them: a point of
     the space for ``Uncovered``, and for ``NonUniqueOnN`` a tuple of two
     distinct pair indices, in either order. Any other index raises
     ``CertificateMismatchError`` before the family is solved. So do a
-    Frechet norming function without one value per point and a coverage
-    entry that is no tuple of two ints, before either is read.
+    Frechet norming function without one exact value per point and a
+    coverage entry that is no tuple of two point indices, before either is read.
     """
     pairs = system.pairs
     beta = beta_matrix(space, pairs)
@@ -364,11 +367,14 @@ def recheck_verdict(
         cov = verdict.coverage
         if f is None or cov is None:
             raise CertificateMismatchError("Frechet verdict missing certificates")
-        if len(f.values) != len(space):
-            raise CertificateMismatchError("norming function must have one value per point")
-        if not all(type(st) is tuple and len(st) == 2 and all(type(i) is int for i in st)
-                   for st in cov.values()):
-            raise CertificateMismatchError("every coverage entry must be a pair of ints")
+        n = len(space)
+        if len(f.values) != n or not all(map(is_exact, f.values)):
+            raise CertificateMismatchError(
+                "norming function must have one value per point, each an int or a Fraction")
+        if not all(is_index(p, n) and type(st) is tuple and len(st) == 2
+                   and all(is_index(i, n) for i in st) for p, st in cov.items()):
+            raise CertificateMismatchError(
+                f"every coverage entry must map a point to a pair of ints in range({n})")
         if f.values[space.base] != 0:
             raise CertificateMismatchError("norming function must vanish at base")
         if lipschitz_constant(space, f.values) != f.lip_constant or f.lip_constant > 1:
@@ -398,7 +404,7 @@ def recheck_verdict(
     else:
         named, count, bound = (failure.point,), 1, len(space)
     if not (isinstance(named, tuple) and len(named) == count
-            and all(type(i) is int and 0 <= i < bound for i in named)
+            and all(is_index(i, bound) for i in named)
             and len(set(named)) == count):
         raise CertificateMismatchError(
             f"{failure}: indices must be {count} distinct ints in range({bound})")

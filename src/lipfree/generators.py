@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import InputError
-from .metric import FiniteMetricSpace, as_fraction, build_space
+from .metric import FiniteMetricSpace, as_fraction, as_int, build_space
 from .metric import floyd_warshall, scale_to_integers
 
 #: random distances have denominators in 1..DENOMINATOR_CAP; it seeds the rng too
@@ -23,7 +23,7 @@ DENOMINATOR_CAP = 64
 
 def gen_star(k: int) -> FiniteMetricSpace:
     """Star of k satellites around the base: d(n, 0) = 1, d(m, n) = 2."""
-    if k < 1:
+    if as_int(k, "satellites") < 1:
         raise InputError("star space needs at least one satellite")
     labels = [str(i) for i in range(k + 1)]
     dist = [
@@ -42,7 +42,7 @@ def gen_c0_truncation(k: int) -> FiniteMetricSpace:
     Exact distances: d(x_1, 0) = 2; d(x_n, 0) = d(x_1, x_n) = 1 + 2^-n for
     n >= 2; d(x_m, x_n) = 1 + 2^-min(m, n) for 2 <= m < n.
     """
-    if k < 2:
+    if as_int(k, "sequence points") < 2:
         raise InputError("sup-norm truncation needs at least two sequence points")
     labels = ["0"] + [f"x{i}" for i in range(1, k + 1)]
 
@@ -63,7 +63,7 @@ def gen_c0_truncation(k: int) -> FiniteMetricSpace:
 
 def gen_line(k: int) -> FiniteMetricSpace:
     """k points at unit spacing on the rational line, base at the left end."""
-    if k < 2:
+    if as_int(k, "points") < 2:
         raise InputError("line space needs at least two points")
     labels = [str(i) for i in range(k)]
     dist = [[Fraction(abs(i - j)) for j in range(k)] for i in range(k)]
@@ -110,11 +110,11 @@ def _insert_midpoint(dist: list[list[Fraction]], u: int, v: int) -> None:
 
 def gen_random(points: int, seed: int, profile: str = "generic") -> FiniteMetricSpace:
     """Seeded random space; same arguments always give the identical space."""
-    if points < 2:
+    if as_int(points, "points") < 2:
         raise InputError("random space needs at least two points")
     if profile not in ("generic", "near-degenerate"):
         raise InputError(f"unknown profile {profile!r}")
-    rng = random.Random((seed, points, profile, DENOMINATOR_CAP).__repr__())
+    rng = random.Random((as_int(seed, "seed"), points, profile, DENOMINATOR_CAP).__repr__())
     midpoints = 0
     core = points
     if profile == "near-degenerate" and points >= 3:

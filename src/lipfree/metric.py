@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from numbers import Rational
 from operator import add
 from typing import Sequence
 
@@ -17,16 +16,31 @@ from ._record import Record
 from .errors import InputError, InvalidSpaceError
 
 
+def is_exact(value) -> bool:
+    """True iff ``value`` is an ``int`` (a ``bool`` is none) or a ``Fraction``."""
+    return type(value) is int or type(value) is Fraction
+
+
+def is_index(value, n: int) -> bool:
+    """The one index rule: an ``int`` (a ``bool`` is none) in ``range(n)``."""
+    return type(value) is int and 0 <= value < n
+
+
+def as_int(value, where: str) -> int:
+    """``value`` if it is an ``int`` (a ``bool`` is none); InputError otherwise."""
+    if type(value) is not int:
+        raise InputError(f"{where}: expected an int, got {value!r}")
+    return value
+
+
 def as_fraction(value, where: str = "value") -> Fraction:
-    """Coerce an exact rational (int or Fraction) to Fraction, rejecting floats.
+    """An exact value (``is_exact``) as a Fraction; InputError otherwise.
 
     A Fraction is immutable, so one comes back as the same object.
     """
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, bool) or not isinstance(value, Rational):
+    if not is_exact(value):
         raise InputError(f"{where}: expected an exact rational, got {value!r}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def positive_eps(eps) -> Fraction:
@@ -162,7 +176,9 @@ def _validate(
     Every check runs on ``space.scaled``, the matrix over one common
     denominator, which keeps each sign, equality and sum comparison.
     """
-    labels = tuple(str(l) for l in labels)
+    labels = tuple(labels)
+    if not all(isinstance(l, str) for l in labels):
+        raise InputError("point labels must be strings")
     n = len(labels)
     if n == 0:
         raise InputError("space must contain at least one point")
@@ -236,8 +252,8 @@ def build_space(
 
 def segment(space: FiniteMetricSpace, s: int, t: int) -> frozenset[int]:
     """Points z with d(s,z) + d(t,z) = d(s,t), exactly; always contains s, t."""
-    if s == t:
-        raise InputError("segment endpoints must be distinct")
+    if not (is_index(s, len(space)) and is_index(t, len(space))) or s == t:
+        raise InputError("segment endpoints must be distinct point indices")
     d = space.dist
     return frozenset(z for z in space.points() if d[s][z] + d[t][z] == d[s][t])
 
@@ -246,8 +262,8 @@ def segment_eps(
     space: FiniteMetricSpace, s: int, t: int, eps: Fraction
 ) -> frozenset[int]:
     """Points z with d(s,z) + d(t,z) < d(s,t) + eps (strict inequality)."""
-    if s == t:
-        raise InputError("segment endpoints must be distinct")
+    if not (is_index(s, len(space)) and is_index(t, len(space))) or s == t:
+        raise InputError("segment endpoints must be distinct point indices")
     eps = positive_eps(eps)
     d = space.dist
     return frozenset(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import InputError
-from .metric import FiniteMetricSpace, as_fraction, scale_to_integers
+from .metric import FiniteMetricSpace, as_fraction, is_index, scale_to_integers
 
 Pair = tuple[int, int]
 
@@ -120,14 +120,19 @@ def build_system(
 
 
 def _checked_pairs(space: FiniteMetricSpace, pairs) -> tuple[Pair, ...]:
-    """``pairs`` as a tuple; InputError unless each joins two distinct points."""
+    """``pairs`` as a tuple; InputError unless each is two indices of distinct points."""
     n = len(space)
-    for i, (x, y) in enumerate(pairs):
-        if not (0 <= x < n and 0 <= y < n):
+    checked = []
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise InputError(f"pair {i}: expected two point indices, got {pair!r}")
+        x, y = pair
+        if not (is_index(x, n) and is_index(y, n)):
             raise InputError(f"pair {i}: point index out of range")
         if x == y:
             raise InputError(f"pair {i}: molecule endpoints must be distinct")
-    return tuple((x, y) for x, y in pairs)
+        checked.append((x, y))
+    return tuple(checked)
 
 
 def beta_matrix(space: FiniteMetricSpace, system_or_pairs) -> BetaMatrix:
@@ -137,7 +142,7 @@ def beta_matrix(space: FiniteMetricSpace, system_or_pairs) -> BetaMatrix:
     """
     if isinstance(system_or_pairs, MoleculeSystem):
         system_or_pairs = system_or_pairs.pairs
-    pairs = _checked_pairs(space, [(int(x), int(y)) for x, y in system_or_pairs])
+    pairs = _checked_pairs(space, system_or_pairs)
     d = space.dist
     rows = tuple(
         tuple(d[xj][yk] - d[xj][yj] for (_, yk) in pairs)
@@ -169,9 +174,8 @@ def element_from_coeffs(space: FiniteMetricSpace, coeffs: dict) -> PointMassElem
     """
     out: dict[int, Fraction] = {}
     for p, c in coeffs.items():
-        p = int(p)
-        if not (0 <= p < len(space)):
-            raise InputError(f"coefficient index {p} out of range")
+        if not is_index(p, len(space)):
+            raise InputError(f"coefficient index {p!r} out of range")
         c = as_fraction(c, f"coefficient of point {p}")
         if p == space.base or c == 0:
             continue

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
 from .errors import CertificateMismatchError, InputError, exact
-from .metric import FiniteMetricSpace, as_fraction, common_scale
+from .metric import FiniteMetricSpace, as_fraction, common_scale, is_exact
 from .molecules import MoleculeSystem, Pair
 
 if TYPE_CHECKING:
@@ -52,11 +52,11 @@ def lipschitz_constant(space: FiniteMetricSpace, values: Sequence[Fraction]) -> 
     With f(p) = a/b, f(q) = c/e and d(p, q) = r/s the ratio is |a e - c b| s
     / (b e r): the argmax cross-multiplies raw numerators and denominators
     and builds one Fraction. Re-checks call this too, so it never reads
-    ``space.scaled``; InputError unless there is one value per point.
+    ``space.scaled``; InputError unless there is one exact value per point.
     """
     n = len(space)
-    if len(values) != n:
-        raise InputError("function must assign a value to every point")
+    if len(values) != n or not all(map(is_exact, values)):
+        raise InputError("function must assign a value to every point, each an int or a Fraction")
     nums = [values[p].numerator for p in range(n)]
     dens = [values[p].denominator for p in range(n)]
     best_num, best_den = 0, 1

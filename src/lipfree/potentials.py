@@ -18,7 +18,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import CertificateMismatchError, InputError, exact
-from .metric import FiniteMetricSpace, floyd_warshall
+from .metric import FiniteMetricSpace, floyd_warshall, is_index
 from .molecules import BetaMatrix, beta_matrix
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -225,12 +225,11 @@ def recheck_witness(beta: BetaMatrix, witness: NegativeCycleWitness) -> None:
     """Re-verify a negative-cycle witness from the raw matrix alone."""
     n = beta.size
     cyc = witness.cycle
-    if any(type(i) is not int for i in cyc):
-        raise CertificateMismatchError("witness cycle indices must be ints")
+    if not all(is_index(i, n) for i in cyc):
+        raise CertificateMismatchError(
+            f"witness cycle index out of range: indices must be ints in range({n})")
     if len(cyc) < 2 or len(set(cyc)) != len(cyc):
         raise CertificateMismatchError("witness cycle indices must be distinct")
-    if any(not (0 <= i < n) for i in cyc):
-        raise CertificateMismatchError("witness cycle index out of range")
     total = cycle_sum(beta.beta, cyc)
     if total != witness.sum or total >= 0:
         raise CertificateMismatchError(

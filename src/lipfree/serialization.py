@@ -194,7 +194,7 @@ def load_element_doc(space: FiniteMetricSpace, doc: dict) -> PointMassElement:
     if not isinstance(coeffs, dict):
         raise InputError("element document needs a 'coeffs' object")
     parsed = {
-        space.index(str(label)): parse_rational(value, f"coeffs[{label}]")
+        space.index(label): parse_rational(value, f"coeffs[{label}]")
         for label, value in coeffs.items()
     }
     return element_from_coeffs(space, parsed)
@@ -217,7 +217,7 @@ def load_function_doc(space: FiniteMetricSpace, doc: dict) -> LipschitzFunction:
     values = [Fraction(0)] * len(space)
     seen = set()
     for label, value in raw.items():
-        p = space.index(str(label))
+        p = space.index(label)
         values[p] = parse_rational(value, f"values[{label}]")
         seen.add(p)
     if seen != set(space.points()):

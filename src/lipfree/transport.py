@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import CertificateMismatchError
-from .metric import FiniteMetricSpace, scale_to_integers
+from .metric import FiniteMetricSpace, is_exact, is_index, scale_to_integers
 from .molecules import MoleculeSystem, PointMassElement, to_point_masses
 from .norming import LipschitzFunction, lipschitz_constant
 
@@ -193,16 +193,17 @@ def recheck_certificate(
 ) -> None:
     """Re-verify a transport certificate from raw inputs; raise on mismatch."""
     n = len(space)
-    if len(cert.dual.values) != n:
-        raise CertificateMismatchError("dual function must have one value per point")
+    if len(cert.dual.values) != n or not all(map(is_exact, cert.dual.values)):
+        raise CertificateMismatchError(
+            "dual function must have one value per point, each an int or a Fraction")
     out = [Fraction(0)] * n
     for leg in cert.plan:
-        if not (type(leg) is tuple and len(leg) == 3 and type(leg[0]) is type(leg[1]) is int
-                and type(leg[2]) in (int, Fraction)):
+        if not (type(leg) is tuple and len(leg) == 3 and is_exact(leg[2])):
             raise CertificateMismatchError("plan leg must be two int endpoints and an exact mass")
         s, t, m = leg
-        if not (0 <= s < n and 0 <= t < n) or s == t:
-            raise CertificateMismatchError("plan leg endpoints invalid")
+        if not (is_index(s, n) and is_index(t, n)) or s == t:
+            raise CertificateMismatchError(
+                f"plan leg endpoints invalid: need two int endpoints in range({n}) that differ")
         if m <= 0:
             raise CertificateMismatchError("plan leg mass must be positive")
         out[s] += m

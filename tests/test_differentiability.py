@@ -329,9 +329,17 @@ class TestForgedVerdicts:
          "pair of ints"),
         (lambda star, v: v.replace(coverage={**v.coverage, 0: (Fraction(1), 0)}),
          "pair of ints"),
+        (lambda star, v: v.replace(norming=v.norming.replace(
+            values=(0.0,) + v.norming.values[1:])), "each an int or a Fraction"),
+        (lambda star, v: v.replace(norming=v.norming.replace(
+            values=(0, True) + v.norming.values[2:])), "each an int or a Fraction"),
+        (lambda star, v: v.replace(coverage={True if p == 1 else p: st
+                                             for p, st in v.coverage.items()}),
+         "pair of ints"),
     ], ids=["no-norming", "no-coverage", "off-base", "wrong-constant", "point-missing",
             "norming-too-long", "norming-too-short", "coverage-single", "coverage-triple",
-            "coverage-list", "coverage-fraction"])
+            "coverage-list", "coverage-fraction", "float-norming-value", "bool-norming-value",
+            "bool-coverage-point"])
     def test_forged_frechet_field_rejected(self, forge, message):
         star, system = star_system(3)
         verdict = decide(star, system)

@@ -4,6 +4,11 @@ A module-scope import must be read somewhere in its module, and an import
 inside a function somewhere in that function. The scan is the standard
 library's ``ast``: a name counts as read where it appears as a loaded
 ``ast.Name``, annotations included.
+
+A second scan keeps ``int()`` coercion out of the library: only the modules
+that read text, ``cli.py`` (argv and the environment) and ``serialization.py``
+(document numbers), may call the builtin ``int``. Everywhere else an index or
+a count is an ``int`` already, or an input error.
 """
 
 import ast
@@ -13,6 +18,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lipfree"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+INT_READERS = ("cli.py", "serialization.py")
 
 
 def own_imports(scope):
@@ -64,3 +70,26 @@ def test_scan_finds_unused_imports_in_each_scope():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def int_calls(source: str) -> list[int]:
+    """The lines that call the builtin ``int``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int")
+
+
+def test_scan_finds_int_calls():
+    source = (
+        "x: int = int('1')\n"
+        "if type(x) is int or isinstance(x, int):\n"
+        "    y = [int(a) for a in x]\n"
+    )
+    assert int_calls(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
+                                  if path.name not in INT_READERS],
+                         ids=lambda path: path.name)
+def test_no_int_coercion_outside_the_text_readers(path):
+    assert int_calls(path.read_text(encoding="utf-8")) == []

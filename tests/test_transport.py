@@ -195,9 +195,14 @@ class TestForgedCertificate:
         (lambda c: c.replace(plan=(("0", B, Fraction(1, 4)),) + c.plan[1:]), "two int endpoints"),
         (lambda c: c.replace(plan=((Fraction(0), B, Fraction(1, 4)),) + c.plan[1:]),
          "two int endpoints"),
+        (lambda c: c.replace(dual=c.dual.replace(values=(0.0,) + c.dual.values[1:])),
+         "each an int or a Fraction"),
+        (lambda c: c.replace(dual=c.dual.replace(values=(0, True, c.dual.values[2]))),
+         "each an int or a Fraction"),
     ], ids=["loop", "out-of-range", "zero-mass", "negative-mass", "dropped-leg",
             "wrong-value", "shifted-dual", "dual-too-long", "dual-too-short",
-            "bool-endpoint", "float-mass", "two-tuple-leg", "str-endpoint", "fraction-endpoint"])
+            "bool-endpoint", "float-mass", "two-tuple-leg", "str-endpoint", "fraction-endpoint",
+            "float-dual-value", "bool-dual-value"])
     def test_forged_field_rejected(self, forge, message):
         element = element_from_coeffs(TRI, {A: Fraction(1, 4), B: Fraction(-1, 2)})
         cert = free_norm(TRI, element)
