@@ -6,9 +6,9 @@ Exit codes: 0 positive verdict or plain success, 1 negative verdict,
 disagreement) or any other internal fault, so a bug can never read as a
 negative verdict. Re-verified from the raw inputs before printing: the
 reports of ``norm``, ``attains``, ``decompose``, ``decide`` and
-``stability``, ``norming``'s two extensions, and every negative-cycle
-witness, on the pairs it is printed with. Not yet re-verified: the table
-``potentials`` prints, ``norming``'s values on N, the reports of
+``stability``, ``norming``'s values on N and its two extensions, and every
+negative-cycle witness, on the pairs it is printed with. Not yet
+re-verified: the table ``potentials`` prints, the reports of
 ``gateaux-eps`` and ``coverage-prefix``, and an isometric ``l1-check``.
 
 Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
@@ -250,7 +250,7 @@ def cmd_potentials(args) -> tuple[int, dict]:
 
 
 def cmd_norming(args) -> tuple[int, dict]:
-    from .norming import build_on_N, extend_lower, extend_upper
+    from .norming import build_on_N, extend_lower, extend_upper, recheck_on_N
     from .serialization import function_to_doc, partial_to_doc
 
     space, system = _load_family(args)
@@ -258,6 +258,7 @@ def cmd_norming(args) -> tuple[int, dict]:
     if witness is not None:
         return EXIT_NEGATIVE, {"holds": False, "witness": witness}
     partial = build_on_N(space, system.pairs, table)
+    recheck_on_N(space, system.pairs, partial.values)
     upper = extend_upper(space, partial)
     lower = extend_lower(space, partial)
     return EXIT_OK, {

@@ -31,6 +31,8 @@ from .norming import (
     build_on_N,
     extend_upper,
     lipschitz_constant,
+    recheck_function,
+    recheck_on_N,
 )
 from .potentials import (
     NegativeCycleWitness,
@@ -155,6 +157,8 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
     """Full differentiability decision for a normalized molecule family."""
     if len(space) < 2:
         raise InputError("differentiability requires a space with >= 2 points")
+    if not all(map(is_exact, system.weights)):
+        raise InputError("each system weight must be an int or a Fraction")
     if not system.normalized:
         raise InputError(
             f"system weights must sum to 1 exactly, got {exact(system.total_weight)}"
@@ -177,7 +181,7 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
     # full coverage pins the free constant, so normalise at the base point
     g1 = extend_upper(space, partial)
     shift = g1.values[space.base]
-    norming = g1.replace(values=tuple(v - shift for v in g1.values), base_pinned=True)
+    norming = g1.replace(values=tuple(v - shift for v in g1.values))
     return DiffVerdict(kind=VerdictKind.FRECHET, norming=norming, coverage=coverage)
 
 
@@ -368,17 +372,13 @@ def recheck_verdict(
         if f is None or cov is None:
             raise CertificateMismatchError("Frechet verdict missing certificates")
         n = len(space)
-        if len(f.values) != n or not all(map(is_exact, f.values)):
-            raise CertificateMismatchError(
-                "norming function must have one value per point, each an int or a Fraction")
+        recheck_function(space, f, "norming function")
         if not all(is_index(p, n) and type(st) is tuple and len(st) == 2
                    and all(is_index(i, n) for i in st) for p, st in cov.items()):
             raise CertificateMismatchError(
                 f"every coverage entry must map a point to a pair of ints in range({n})")
         if f.values[space.base] != 0:
             raise CertificateMismatchError("norming function must vanish at base")
-        if lipschitz_constant(space, f.values) != f.lip_constant or f.lip_constant > 1:
-            raise CertificateMismatchError("norming function constant is wrong")
         if any(f.values[x] - f.values[y] != space.d(x, y) for x, y in pairs):
             raise CertificateMismatchError("function does not norm every molecule")
         rigid = tight_rigid_pairs(beta.beta, [f.values[y] for _, y in pairs])
@@ -412,10 +412,7 @@ def recheck_verdict(
     if isinstance(table, NegativeCycleWitness):
         raise CertificateMismatchError(f"{failure} claimed on a negative cycle")
     f = build_on_N(space, pairs, table).values
-    if any(f[x] - f[y] != space.d(x, y) for x, y in pairs):
-        raise CertificateMismatchError("f on N does not norm every molecule")
-    if any(abs(f[a] - f[b]) > space.d(a, b) for a in f for b in f if a < b):
-        raise CertificateMismatchError("f on N is not 1-Lipschitz")
+    recheck_on_N(space, pairs, f)
     if isinstance(failure, NonUniqueOnN):
         if tuple(sorted(failure.pair)) in tight_rigid_pairs(beta.beta, [f[y] for _, y in pairs]):
             raise CertificateMismatchError(f"pair {failure.pair} is actually rigid")

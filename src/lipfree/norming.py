@@ -34,16 +34,10 @@ class PartialFunction(Record):
 
 
 class LipschitzFunction(Record):
-    """Value vector over all points with an exactly certified Lipschitz constant.
-
-    ``base_pinned`` records whether the value at the base point is zero, i.e.
-    whether the function is a genuine member of the space of base-vanishing
-    Lipschitz functions rather than a representative modulo constants.
-    """
+    """Value vector over all points with an exactly certified Lipschitz constant."""
 
     values: tuple[Fraction, ...]
     lip_constant: Fraction
-    base_pinned: bool
 
 
 def lipschitz_constant(space: FiniteMetricSpace, values: Sequence[Fraction]) -> Fraction:
@@ -70,16 +64,33 @@ def lipschitz_constant(space: FiniteMetricSpace, values: Sequence[Fraction]) -> 
     return Fraction(best_num, best_den)
 
 
-def make_function(
-    space: FiniteMetricSpace, values: Sequence[Fraction]
-) -> LipschitzFunction:
-    """Freeze exact values (int or Fraction) with their certified constant and base flag."""
+def make_function(space: FiniteMetricSpace, values: Sequence[Fraction]) -> LipschitzFunction:
+    """Freeze exact values (int or Fraction) with their certified constant."""
     vals = tuple(as_fraction(v, "function value") for v in values)
-    return LipschitzFunction(
-        values=vals,
-        lip_constant=lipschitz_constant(space, vals),
-        base_pinned=vals[space.base] == 0,
-    )
+    return LipschitzFunction(values=vals, lip_constant=lipschitz_constant(space, vals))
+
+
+def recheck_function(space: FiniteMetricSpace, f: LipschitzFunction, what: str) -> None:
+    """CertificateMismatchError unless f, named ``what`` in the message, has
+    one exact value per point and its stated constant is the recomputed one,
+    at most 1. Whether f vanishes at the base is each caller's check."""
+    if len(f.values) != len(space) or not all(map(is_exact, f.values)):
+        raise CertificateMismatchError(
+            f"{what} must have one value per point, each an int or a Fraction")
+    lip = lipschitz_constant(space, f.values)
+    if lip > 1 or lip != f.lip_constant:
+        raise CertificateMismatchError(f"{what} constant is wrong")
+
+
+def recheck_on_N(
+    space: FiniteMetricSpace, pairs: Sequence[Pair], values: dict[int, Fraction]
+) -> None:
+    """CertificateMismatchError unless f on N, in raw Fractions, norms every
+    pair, f(x) - f(y) = d(x, y), and is 1-Lipschitz on N."""
+    if any(values[x] - values[y] != space.d(x, y) for x, y in pairs):
+        raise CertificateMismatchError("f on N does not norm every molecule")
+    if any(abs(values[a] - values[b]) > space.d(a, b) for a in values for b in values if a < b):
+        raise CertificateMismatchError("f on N is not 1-Lipschitz")
 
 
 def build_on_N(

@@ -206,7 +206,7 @@ def function_to_doc(space: FiniteMetricSpace, f: LipschitzFunction) -> dict:
             space.labels[p]: render_rational(f.values[p]) for p in space.points()
         },
         "lip": render_rational(f.lip_constant),
-        "base_pinned": f.base_pinned,
+        "base_pinned": f.values[space.base] == 0,
     }
 
 
@@ -229,7 +229,7 @@ def load_function_doc(space: FiniteMetricSpace, doc: dict) -> LipschitzFunction:
     if "base_pinned" in doc:
         if not isinstance(doc["base_pinned"], bool):
             raise InputError("function base_pinned must be true or false")
-        _check_stated(doc["base_pinned"], out.base_pinned, "base_pinned")
+        _check_stated(doc["base_pinned"], out.values[space.base] == 0, "base_pinned")
     return out
 
 

@@ -610,6 +610,18 @@ class TestInternalFaults:
             assert out == ""
             assert "internal error" in err
 
+    def test_norming_values_on_N_that_are_not_1_lipschitz_are_exit_three(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A faulty solve of f on N is caught before the extensions read it as input."""
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps({"pairs": [["1", "0"], ["3", "2"]], "weights": [1, 1]}))
+        monkeypatch.setattr(potentials.PotentialTable, "alphas", (0, 7))
+        code, out, err = run(capsys, "norming", "--space", str(INPUTS / "star3.json"),
+                             "--system", str(system))
+        assert (code, out) == (3, "")
+        assert err == "lipfree: certificate mismatch: f on N is not 1-Lipschitz\n"
+
     @pytest.mark.parametrize("eps", ["1_0", "1/0_2", " 7 ", "+3", "٣"])
     def test_loose_rational_is_exit_two(self, capsys, docs, eps):
         code, _, err = run(

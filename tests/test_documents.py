@@ -14,7 +14,13 @@ import pytest
 
 import lipfree.cli as cli
 from lipfree.errors import InputError
-from lipfree.serialization import load_function_doc, load_space_doc, load_system_doc
+from lipfree.serialization import (
+    function_to_doc,
+    load_function_doc,
+    load_space_doc,
+    load_system_doc,
+)
+from test_golden import CASES, GOLDEN, argv_of
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 TRI = {"labels": ["0", "a", "b"], "base": "0", "dist": [[0, 2, 1], [2, 0, 2], [1, 2, 0]]}
@@ -97,6 +103,43 @@ class TestReportsFeedBack:
         assert json.loads(out)["verified"] is True
 
 
+def function_docs(node):
+    """Every object at any depth of a report with the keys of a printed function."""
+    if isinstance(node, dict) and set(node) == {"values", "lip", "base_pinned"}:
+        yield node
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        yield from function_docs(child)
+
+
+def prints_a_function(name):
+    return '"base_pinned"' in (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# the goldens of a verdict on a valid space; validate also reads spaces that are no metric
+PRINTED = [(name, argv_of(template)[template.index("--space") + 1])
+           for name, template, code in CASES
+           if code in (0, 1) and "--space" in template and template[0] != "validate"
+           and prints_a_function(name)]
+
+
+@pytest.mark.parametrize("name,space_path", PRINTED, ids=[name for name, _ in PRINTED])
+def test_every_printed_function_loads_back(name, space_path):
+    """Each function a golden prints passes ``load_function_doc`` on its space,
+    stated ``lip`` and ``base_pinned`` included, and renders back the same."""
+    space = load_space_doc(json.loads(Path(space_path).read_text(encoding="utf-8")))
+    text = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    docs = list(function_docs(json.loads(text)))
+    assert len(docs) == text.count('"base_pinned"'), name
+    for doc in docs:
+        assert function_to_doc(space, load_function_doc(space, doc)) == doc
+
+
+def test_every_golden_that_prints_a_function_is_read_back():
+    printing = {name for name, _, _ in CASES if prints_a_function(name)}
+    assert printing and printing == {name for name, _ in PRINTED}
+
+
 class TestStatedValues:
     def test_wrong_total_weight_is_input_error(self, capsys, tmp_path):
         doc = {"pairs": [["1", "0"], ["2", "0"]], "weights": ["1/2", "1/2"],
@@ -126,7 +169,7 @@ class TestStatedValues:
         assert system.total_weight == Fraction(3, 2)
         f = load_function_doc(space, {"values": {"0": 0, "a": 1, "b": 1},
                                       "lip": 1, "base_pinned": True})
-        assert f.base_pinned is True
+        assert f.values[space.base] == 0
 
 
 class TestPairLabels:

@@ -12,12 +12,15 @@ import pytest
 
 from lipfree import (
     InputError,
+    MoleculeSystem,
+    PointMassElement,
     beta_matrix,
     build_space,
     build_system,
     check_cyclical_monotonicity,
     decide,
     element_from_coeffs,
+    free_norm,
     gen_c0_truncation,
     gen_line,
     gen_random,
@@ -25,6 +28,7 @@ from lipfree import (
     l1_basis_check,
     lipschitz_constant,
     min_coverage_slack,
+    recheck_certificate,
     segment,
     segment_eps,
     stability_bound,
@@ -127,3 +131,25 @@ def test_stability_refuses_a_norming_function_of_floats():
     f = g.replace(values=(0, 1.0, 1.0, 0.99))
     with pytest.raises(InputError, match="each an int or a Fraction"):
         stability_holds(STAR, system, f, stability_bound(STAR, system), g, Fraction(1, 16))
+
+
+def test_decide_takes_exact_weights_only():
+    """A system built without ``build_system`` is read by the same rule."""
+    decide(STAR, MoleculeSystem(pairs=((1, 0), (2, 0)), weights=(Fraction(1, 2),) * 2))
+    decide(STAR, MoleculeSystem(pairs=((1, 0),), weights=(1,)))
+    for weights in [(0.5, 0.5), (Fraction(1, 2), True)]:
+        with pytest.raises(InputError, match="^each system weight must be an int or a Fraction"):
+            decide(STAR, MoleculeSystem(pairs=((1, 0), (2, 0)), weights=weights))
+
+
+@pytest.mark.parametrize("coeffs", [{1: 0.5}, {1: True}, {1.0: 1}, {True: 1}, {4: 1}],
+                         ids=["float", "bool", "float-key", "bool-key", "key-out-of-range"])
+def test_transport_reads_an_element_by_the_rules(coeffs):
+    """An element built without ``element_from_coeffs`` is read by the same rules."""
+    element = PointMassElement(coeffs=coeffs)
+    message = "expected an exact rational|out of range"
+    with pytest.raises(InputError, match=message):
+        free_norm(STAR, element)
+    cert = free_norm(STAR, PointMassElement(coeffs={1: 1}))
+    with pytest.raises(InputError, match=message):
+        recheck_certificate(STAR, element, cert)

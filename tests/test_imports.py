@@ -9,6 +9,10 @@ A second scan keeps ``int()`` coercion out of the library: only the modules
 that read text, ``cli.py`` (argv and the environment) and ``serialization.py``
 (document numbers), may call the builtin ``int``. Everywhere else an index or
 a count is an ``int`` already, or an input error.
+
+A third scan keeps the re-checks apart from the integer form the verdicts
+are found on: no body of ``RECHECKS`` reads a ``.scaled`` attribute or calls
+a routine of ``INTEGER_FORM``, so a scaling bug cannot confirm itself.
 """
 
 import ast
@@ -93,3 +97,49 @@ def test_scan_finds_int_calls():
                          ids=lambda path: path.name)
 def test_no_int_coercion_outside_the_text_readers(path):
     assert int_calls(path.read_text(encoding="utf-8")) == []
+
+
+RECHECKS = ("recheck_certificate", "recheck_witness", "recheck_verdict",
+            "recheck_function", "recheck_on_N", "lipschitz_constant")
+INTEGER_FORM = ("common_scale", "scale_to_integers", "_function_slacks", "_coverage",
+                "min_coverage_slack")
+
+
+def integer_form_reads(source: str) -> dict[str, list[str]]:
+    """For each function of ``RECHECKS`` defined in ``source``, ``"<line> <name>"``
+    for each ``.scaled`` it reads and each ``INTEGER_FORM`` routine it calls."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in RECHECKS):
+            continue
+        hits = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == "scaled":
+                hits.append(f"{sub.lineno} .scaled")
+            elif isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                if name in INTEGER_FORM:
+                    hits.append(f"{sub.lineno} {name}")
+        found[node.name] = sorted(hits, key=lambda hit: int(hit.split()[0]))
+    return found
+
+
+def test_scan_finds_integer_form_reads():
+    source = (
+        "def recheck_verdict(space, beta):\n"
+        "    den, rows = space.scaled\n"
+        "    def inner():\n"
+        "        return metric.common_scale(space, [])\n"
+        "    return _coverage(rows, beta.scaled)\n"
+        "def other(space):\n"
+        "    return _function_slacks(space.scaled)\n"
+    )
+    assert integer_form_reads(source) == {
+        "recheck_verdict": ["2 .scaled", "4 common_scale", "5 _coverage", "5 .scaled"]}
+
+
+def test_rechecks_never_read_the_integer_form():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        found.update(integer_form_reads(path.read_text(encoding="utf-8")))
+    assert found == {name: [] for name in RECHECKS}

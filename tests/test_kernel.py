@@ -46,6 +46,8 @@ from lipfree import (
     InputError,
     MoleculeSystem,
     NegativeCycleWitness,
+    NonUniqueOnN,
+    NotAttaining,
     NotAttainingError,
     PartialFunction,
     Uncovered,
@@ -70,12 +72,14 @@ from lipfree import (
     min_coverage_slack,
     recheck_certificate,
     recheck_verdict,
+    recheck_witness,
     validate_space,
 )
 from lipfree.generators import repair_to_metric
 from lipfree.metric import floyd_warshall, scale_to_integers
-from lipfree.norming import lipschitz_constant
+from lipfree.norming import lipschitz_constant, recheck_on_N
 from lipfree.potentials import PotentialTable, tight_rigid_pairs
+from lipfree.serialization import function_to_doc
 from lipfree.transport import _balances, _dijkstra
 
 SETTINGS = settings(
@@ -598,7 +602,7 @@ def test_extensions_match_fraction_reference(case, upper):
     out = extend(space, partial)
     assert out.values == tuple(values)
     assert out.lip_constant == reference_lipschitz(space, values) <= 1
-    assert out.base_pinned == (values[space.base] == 0)
+    assert function_to_doc(space, out)["base_pinned"] == (values[space.base] == 0)
 
 
 @SETTINGS
@@ -772,6 +776,32 @@ def test_rechecks_never_read_the_integer_form():
     object.__setattr__(blind, "scaled", None)
     recheck_certificate(blind, element, cert)
     recheck_verdict(blind, system, verdict)
+
+
+def test_rechecks_of_every_branch_never_read_the_integer_form():
+    """``recheck_verdict`` on verdicts of all four kinds, ``recheck_witness``
+    and ``recheck_on_N`` pass on a space and a beta whose ``scaled`` cannot
+    be read."""
+    rng = random.Random(614)
+    kinds = {NotAttaining: 0, NonUniqueOnN: 0, Uncovered: 0, None: 0}
+    for trial in range(400):
+        space = gen_random(rng.randint(3, 9), trial)
+        pairs = [(p, 0) if rng.random() < 0.6 else tuple(rng.sample(range(len(space)), 2))
+                 for p in rng.sample(range(1, len(space)), rng.randint(1, len(space) - 1))]
+        weights = [Fraction(rng.randint(1, 9)) for _ in pairs]
+        system = MoleculeSystem(pairs=tuple(pairs), weights=tuple(w / sum(weights) for w in weights))
+        verdict = decide(space, system)
+        kinds[type(verdict.failure) if verdict.failure else None] += 1
+        blind = space.replace()
+        object.__setattr__(blind, "scaled", None)
+        recheck_verdict(blind, system, verdict)
+        beta = beta_matrix(blind, pairs)
+        if isinstance(verdict.failure, NotAttaining):
+            object.__setattr__(beta, "scaled", None)
+            recheck_witness(beta, verdict.failure.witness)
+        else:
+            recheck_on_N(blind, pairs, build_on_N(space, pairs, closure(beta)).values)
+    assert min(kinds.values()) > 0, kinds
 
 
 # ------------------------------------- forward arcs relaxed only where they help

@@ -18,9 +18,11 @@ from lipfree import (
     extend_upper,
     gen_c0_truncation,
     gen_star,
+    LipschitzFunction,
     make_function,
     verify_norming,
 )
+from lipfree.norming import recheck_function, recheck_on_N
 from _instances import random_space, random_system
 
 TRI = build_space(["0", "a", "b"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]], "0")
@@ -230,3 +232,41 @@ def test_extension_of_an_empty_domain_rejected(extend):
 def test_make_function_takes_exact_values_only(values):
     with pytest.raises(InputError, match="function value: expected an exact rational"):
         make_function(TRI, values)
+
+
+class TestRechecks:
+    """``recheck_function`` and ``recheck_on_N`` raise ``CertificateMismatchError``,
+    naming the function, on every certificate they refuse."""
+
+    @pytest.mark.parametrize("values,lip,message", [
+        ((0, 1, 1), 1, "must have one value per point"),
+        ((0, 1, 1, 1, 0), 1, "must have one value per point"),
+        ((0, 1.0, 1, 1), 1, "must have one value per point"),
+        ((0, 1, 1, 1), Fraction(1, 2), "constant is wrong"),
+        ((0, 2, 1, 1), 2, "constant is wrong"),
+    ], ids=["short", "long", "float", "stated-lip", "steep"])
+    def test_recheck_function_refuses(self, values, lip, message):
+        f = LipschitzFunction(values=values, lip_constant=lip)
+        with pytest.raises(CertificateMismatchError, match=f"^dual function {message}"):
+            recheck_function(gen_star(3), f, "dual function")
+
+    def test_recheck_function_leaves_the_base_to_its_caller(self):
+        recheck_function(gen_star(3), make_function(gen_star(3), [1, 1, 1, 1]), "f")
+
+    @pytest.mark.parametrize("values,message", [
+        ({0: 0, 1: 1, 2: 0, 3: 0}, "f on N does not norm every molecule"),
+        ({0: 0, 1: 1, 2: 7, 3: 9}, "f on N is not 1-Lipschitz"),
+    ], ids=["not-norming", "steep"])
+    def test_recheck_on_N_refuses(self, values, message):
+        with pytest.raises(CertificateMismatchError, match=message):
+            recheck_on_N(gen_star(3), [(1, 0), (3, 2)], values)
+        recheck_on_N(gen_star(3), [(1, 0), (3, 2)], {0: 0, 1: 1, 2: -1, 3: 1})
+
+
+def test_a_function_has_values_and_a_constant_only():
+    """Whether f vanishes at the base is read off its values, not stored."""
+    f = make_function(TRI, [0, 2, 1])
+    assert repr(f) == ("LipschitzFunction(values=(Fraction(0, 1), Fraction(2, 1), "
+                       "Fraction(1, 1)), lip_constant=Fraction(1, 1))")
+    with pytest.raises(TypeError):
+        f.replace(base_pinned=True)

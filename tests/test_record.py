@@ -137,10 +137,10 @@ class TestConstruction:
 
 class TestReplace:
     def test_returns_a_new_record(self):
-        f = LipschitzFunction((Fraction(1), Fraction(0)), Fraction(1), False)
-        g = f.replace(base_pinned=True)
-        assert g == LipschitzFunction((Fraction(1), Fraction(0)), Fraction(1), True)
-        assert f.base_pinned is False
+        f = LipschitzFunction((Fraction(1), Fraction(0)), Fraction(1))
+        g = f.replace(lip_constant=Fraction(2))
+        assert g == LipschitzFunction((Fraction(1), Fraction(0)), Fraction(2))
+        assert f.lip_constant == 1
 
     def test_runs_post_init(self):
         beta = BetaMatrix(((0, 1), (1, 0)))
