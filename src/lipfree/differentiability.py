@@ -159,6 +159,9 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
         raise InputError("differentiability requires a space with >= 2 points")
     if not all(map(is_exact, system.weights)):
         raise InputError("each system weight must be an int or a Fraction")
+    for i, w in enumerate(system.weights):
+        if w <= 0:
+            raise InputError(f"weight {i} must be strictly positive")
     if not system.normalized:
         raise InputError(
             f"system weights must sum to 1 exactly, got {exact(system.total_weight)}"

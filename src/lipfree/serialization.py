@@ -134,10 +134,20 @@ def read_space_doc(
     n = len(labels)
     if len(dist) != n or any(len(row) != n for row in dist):
         raise InputError(f"distance matrix must be {n}x{n}")
-    parsed = [
-        [parse_rational(x, f"dist[{i}][{j}]") for j, x in enumerate(row)]
-        for i, row in enumerate(dist)
-    ]
+    # a symmetric matrix repeats most entries, so each distinct one is parsed
+    # once; the key holds the type because True == 1, and only successes are
+    # kept, so a bad entry is still refused at its own first position
+    once: dict[tuple[type, int | str], Fraction] = {}
+    parsed = []
+    for i, row in enumerate(dist):
+        out = []
+        for j, x in enumerate(row):
+            key = (type(x), x) if isinstance(x, (int, str)) else None
+            value = once.get(key)
+            if value is None:
+                value = once[key] = parse_rational(x, f"dist[{i}][{j}]")
+            out.append(value)
+        parsed.append(out)
     return labels, parsed, base
 
 

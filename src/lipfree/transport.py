@@ -36,13 +36,16 @@ def _balances(space: FiniteMetricSpace, element: PointMassElement) -> list[Fract
     for p, c in element.coeffs.items():
         if not is_index(p, n):
             raise InputError(f"coefficient index {p!r} out of range")
+        if p == space.base:
+            raise InputError(f"coefficient index {p!r} is the base point, which takes none")
         balance[p] = as_fraction(c, f"coefficient of point {p}")
     balance[space.base] = -sum(element.coeffs.values())
     return balance
 
 
-def _dijkstra(cost, into, pi, source):
-    """Shortest reduced-cost distances in the residual graph from ``source``.
+def _dijkstra(cost, into, pi, source, excess):
+    """Reduced-cost search in the residual graph from ``source`` to the first
+    deficit point it settles: ``(dist, pred, t)``, where ``excess[t] < 0``.
 
     Residual arcs: every forward arc (u,v) at cost d(u,v) (infinite capacity),
     plus the reverse arc of each positive-flow arc at cost -d; ``into[v]``
@@ -50,12 +53,19 @@ def _dijkstra(cost, into, pi, source):
     option when present. All arguments are integers on one common
     denominator.
 
+    The search returns as soon as it settles t, before relaxing t's arcs.
+    Points settle in order of distance, so ``dist`` and ``pred`` are final
+    on every point settled so far and ``dist[t]`` is the least distance of
+    any deficit point; every other label is at least ``dist[t]``. The
+    source relaxes a forward arc to every point, so every point has a label.
+
     Forward arcs are relaxed only from the source and from points entered by
     a reverse arc. A point u entered by forward arcs from the last such point
     h has dist[u] = dist[h] + (path cost h..u) - pi[h] + pi[u], so by the
     triangle inequality dist[u] + rc(u, v) >= dist[h] + rc(h, v) for every
     forward arc (u, v): h already relaxed v at least as well, and relabels
-    happen only on a strict improvement. Every arc relaxed is checked for a
+    happen only on a strict improvement. The potentials cancel in that sum,
+    so this holds for any potentials. Every arc relaxed is checked for a
     nonnegative reduced cost; the forward arcs skipped are nonnegative on a
     metric cost whenever those are, since u settles no later than v.
     """
@@ -69,6 +79,8 @@ def _dijkstra(cost, into, pi, source):
         du, u = heapq.heappop(heap)
         if settled[u]:
             continue
+        if excess[u] < 0:
+            return dist, pred, u
         settled[u] = True
         cost_u = cost[u]
         pi_u = pi[u]
@@ -85,7 +97,7 @@ def _dijkstra(cost, into, pi, source):
                 dist[v] = cand
                 pred[v] = u
                 heapq.heappush(heap, (cand, v))
-    return dist, pred
+    raise CertificateMismatchError("no deficit point is reachable from the source")
 
 
 def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
@@ -95,6 +107,17 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
     excesses the balances, each scaled by its own common denominator, so
     every comparison, heap order and tie-break is the one the rational
     problem would take. Only the results are converted back.
+
+    Each search runs from the first supply point s to the first deficit
+    point t it settles, and the augmentation runs along t's predecessors.
+    The potentials are then lowered by ``min(dist[v], dist[t])``: by
+    ``dist[v]`` on the points settled, by ``dist[t]`` on the rest. Every
+    residual arc (u, v) keeps a nonnegative reduced cost. If u settled,
+    dist[v] <= dist[u] + rc(u, v): v settled first, or u relaxed v, or (for
+    a skipped forward arc) a point before u relaxed v at least as well. If
+    not, u is lowered by dist[t], and no point is lowered by more. The arcs
+    of the path are tight, so the reverse arcs the augmentation opens are
+    tight too.
 
     The flow is the plan. By the triangle inequality a path through a third
     point never costs less than the direct arc, and ``_dijkstra`` relabels a
@@ -112,9 +135,7 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
         if not sources:
             break
         s = sources[0]
-        dist, pred = _dijkstra(cost, into, pi, s)
-        sinks = [i for i in range(n) if excess[i] < 0]
-        t = min(sinks, key=lambda i: (dist[i], i))
+        dist, pred, t = _dijkstra(cost, into, pi, s, excess)
         # walk predecessors to collect the augmenting path s -> t
         arcs: list[tuple[int, int]] = []
         v = t
@@ -138,7 +159,8 @@ def _solve_flow(space: FiniteMetricSpace, balance: list[Fraction]):
                 into[v][u] = into[v].get(u, 0) + amount
         excess[s] -= amount
         excess[t] += amount
-        pi = [pi[i] - dist[i] for i in range(n)]
+        dt = dist[t]
+        pi = [p - min(d, dt) for p, d in zip(pi, dist)]
     plan = tuple(sorted(
         (u, v, Fraction(x, mass_den)) for v, row in enumerate(into) for u, x in row.items()
     ))

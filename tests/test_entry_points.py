@@ -142,6 +142,28 @@ def test_decide_takes_exact_weights_only():
             decide(STAR, MoleculeSystem(pairs=((1, 0), (2, 0)), weights=weights))
 
 
+@pytest.mark.parametrize("weights", [(2, -1), (1, 0)], ids=["negative", "zero"])
+def test_decide_takes_positive_weights_only(weights):
+    """A system built without ``build_system`` is refused as ``build_system``
+    refuses it, though its weights sum to 1."""
+    with pytest.raises(InputError, match="^weight 1 must be strictly positive$"):
+        build_system(STAR, [(1, 0), (2, 0)], weights)
+    with pytest.raises(InputError, match="^weight 1 must be strictly positive$"):
+        decide(STAR, MoleculeSystem(pairs=((1, 0), (2, 0)), weights=weights))
+
+
+def test_transport_refuses_a_coefficient_on_the_base():
+    """The base carries the residual mass; an element built without
+    ``element_from_coeffs`` may not state a coefficient there."""
+    element = PointMassElement(coeffs={0: 1, 1: 1})
+    with pytest.raises(InputError, match="^coefficient index 0 is the base point"):
+        free_norm(STAR, element)
+    cert = free_norm(STAR, element_from_coeffs(STAR, element.coeffs))
+    assert cert.value == 1
+    with pytest.raises(InputError, match="^coefficient index 0 is the base point"):
+        recheck_certificate(STAR, element, cert)
+
+
 @pytest.mark.parametrize("coeffs", [{1: 0.5}, {1: True}, {1.0: 1}, {True: 1}, {4: 1}],
                          ids=["float", "bool", "float-key", "bool-key", "key-out-of-range"])
 def test_transport_reads_an_element_by_the_rules(coeffs):

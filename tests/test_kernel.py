@@ -20,19 +20,25 @@ entry of ``space.scaled`` must never yield a wrong norm or a wrong Frechet
 verdict that passes its re-check, and the re-checks must not read it.
 
 The flow's Dijkstra search relaxes forward arcs only from the source and
-from points entered by a reverse arc. It is compared with a search that
-relaxes every arc, on metric integer costs full of ties, with feasible and
-perturbed potentials: the same distances and predecessors, and a
-``CertificateMismatchError`` exactly when the reference raises one. The
+from points entered by a reverse arc, and stops at the first deficit point
+it settles. It is compared with a search that relaxes every arc and stops at
+the same pop, on metric integer costs full of ties, with feasible and
+perturbed potentials: the same distances, predecessors and sink, and the
+same ``CertificateMismatchError`` exactly when the reference raises one. The
 whole flow is compared the same way on stars, lines and spaces with exact
-segments: the same plan and the same dual.
+segments: the same plan and the same dual, and the same value as a flow
+whose searches settle every point. On the dense 40-point golden element the
+searches must pop fewer heap entries than n per search.
 """
 
 import heapq
+import json
 import random
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -75,12 +81,15 @@ from lipfree import (
     recheck_witness,
     validate_space,
 )
+from lipfree import transport
 from lipfree.generators import repair_to_metric
 from lipfree.metric import floyd_warshall, scale_to_integers
 from lipfree.norming import lipschitz_constant, recheck_on_N
 from lipfree.potentials import PotentialTable, tight_rigid_pairs
-from lipfree.serialization import function_to_doc
+from lipfree.serialization import function_to_doc, load_element_doc, load_space_doc
 from lipfree.transport import _balances, _dijkstra
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -388,7 +397,7 @@ def test_free_norm_matches_vertex_sweep(case):
 def test_negative_reduced_cost_is_a_certificate_mismatch():
     cost = [[0, 1], [1, 0]]
     with pytest.raises(CertificateMismatchError):
-        _dijkstra(cost, [{}, {}], [0, -5], 0)
+        _dijkstra(cost, [{}, {}], [0, -5], 0, [1, -1])
 
 
 @SETTINGS
@@ -807,19 +816,28 @@ def test_rechecks_of_every_branch_never_read_the_integer_form():
 # ------------------------------------- forward arcs relaxed only where they help
 
 
-def reference_dijkstra(cost, flow, pi, source):
+def reference_dijkstra(cost, flow, pi, source, excess, stop=True):
     """The search relaxing every residual arc of every settled point, over a
-    full flow matrix: ``flow[u][v]`` is the flow on u -> v."""
+    full flow matrix: ``flow[u][v]`` is the flow on u -> v.
+
+    Returns ``(dist, pred, t)``, t the first point popped whose excess is
+    negative. With ``stop`` the search ends there, before relaxing t's arcs;
+    without, it goes on and settles every point."""
     n = len(cost)
     dist = [None] * n
     pred = [None] * n
     dist[source] = 0
     heap = [(0, source)]
     settled = [False] * n
+    t = None
     while heap:
         du, u = heapq.heappop(heap)
         if settled[u]:
             continue
+        if excess[u] < 0 and t is None:
+            t = u
+            if stop:
+                return dist, pred, t
         settled[u] = True
         for v in range(n):
             if v == u or settled[v]:
@@ -831,11 +849,20 @@ def reference_dijkstra(cost, flow, pi, source):
                 dist[v] = du + rc
                 pred[v] = u
                 heapq.heappush(heap, (du + rc, v))
-    return dist, pred
+    if t is None:
+        raise CertificateMismatchError("no deficit point is reachable from the source")
+    return dist, pred, t
 
 
-def reference_flow(space, balance):
-    """Successive shortest paths with ``reference_dijkstra``: (plan, potentials)."""
+def reference_flow(space, balance, stop=True):
+    """Successive shortest paths with ``reference_dijkstra``: (plan, potentials).
+
+    With ``stop`` each search ends at its sink t, the first deficit point it
+    settles, and the potentials drop by min(dist, dist[t]). Without, each
+    search settles every point, the sink is the deficit point of least
+    (dist, index) and the potentials drop by dist: the flow as it was before
+    the searches stopped early, a different optimal plan of the same value.
+    """
     n = len(space)
     den, cost = space.scaled
     mass_den, (excess,) = scale_to_integers([balance])
@@ -843,8 +870,9 @@ def reference_flow(space, balance):
     pi = [0] * n
     while any(e > 0 for e in excess):
         s = next(i for i in range(n) if excess[i] > 0)
-        dist, pred = reference_dijkstra(cost, flow, pi, s)
-        t = min((i for i in range(n) if excess[i] < 0), key=lambda i: (dist[i], i))
+        dist, pred, t = reference_dijkstra(cost, flow, pi, s, excess, stop)
+        if not stop:
+            t = min((i for i in range(n) if excess[i] < 0), key=lambda i: (dist[i], i))
         path, v = [], t
         while v != s:
             path.append((pred[v], v))
@@ -857,7 +885,7 @@ def reference_flow(space, balance):
                 flow[u][v] += amount
         excess[s] -= amount
         excess[t] += amount
-        pi = [p - d for p, d in zip(pi, dist)]
+        pi = [p - (min(d, dist[t]) if stop else d) for p, d in zip(pi, dist)]
     plan = tuple((u, v, Fraction(x, mass_den))
                  for u, row in enumerate(flow) for v, x in enumerate(row) if x)
     return plan, [Fraction(p, den) for p in pi]
@@ -865,8 +893,8 @@ def reference_flow(space, balance):
 
 @st.composite
 def residual_graphs(draw):
-    """A metric integer cost, a flow with one direction per pair, potentials
-    and a source.
+    """A metric integer cost, a flow with one direction per pair, potentials,
+    a source and excesses, positive at the source and in {-1, 0, 1} elsewhere.
 
     The costs are shortest-path closures of random weights, stars, or
     {2, 4}-valued, the last two full of ties. Feasible potentials are
@@ -903,22 +931,26 @@ def residual_graphs(draw):
             way = draw(st.sampled_from([None] + ways))
             if way is not None:
                 flow[way[0]][way[1]] = draw(st.integers(1, 5))
-    return cost, flow, pi, draw(st.integers(0, n - 1))
+    source = draw(st.integers(0, n - 1))
+    excess = [1 if v == source else draw(st.integers(-1, 1)) for v in range(n)]
+    return cost, flow, pi, source, excess
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(residual_graphs())
 def test_dijkstra_matches_the_full_relaxation(case):
-    cost, flow, pi, source = case
+    """The same distances, predecessors and sink as a search that relaxes
+    every arc and stops at the same pop, and the same error when it raises."""
+    cost, flow, pi, source, excess = case
     n = len(cost)
     into = [{u: flow[u][v] for u in range(n) if flow[u][v]} for v in range(n)]
     try:
-        expected = reference_dijkstra(cost, flow, pi, source)
-    except CertificateMismatchError:
-        with pytest.raises(CertificateMismatchError):
-            _dijkstra(cost, into, pi, source)
+        expected = reference_dijkstra(cost, flow, pi, source, excess)
+    except CertificateMismatchError as err:
+        with pytest.raises(CertificateMismatchError, match=re.escape(str(err))):
+            _dijkstra(cost, into, pi, source, excess)
         return
-    assert _dijkstra(cost, into, pi, source) == expected
+    assert _dijkstra(cost, into, pi, source, excess) == expected
 
 
 @st.composite
@@ -938,9 +970,38 @@ def degenerate_elements(draw):
 @SETTINGS
 @given(degenerate_elements())
 def test_free_norm_is_the_full_relaxation_flow(case):
+    """The same plan and dual as the reference flow, and the same value as
+    the flow whose searches settle every point."""
     space, element = case
     cert = free_norm(space, element)
-    plan, pi = reference_flow(space, _balances(space, element))
+    balance = _balances(space, element)
+    plan, pi = reference_flow(space, balance)
     assert cert.plan == plan
     assert cert.dual.values == tuple(p - pi[space.base] for p in pi)
     assert cert.value == sum((m * space.d(s, t) for s, t, m in plan), Fraction(0))
+    full_plan, _ = reference_flow(space, balance, stop=False)
+    assert cert.value == sum((m * space.d(s, t) for s, t, m in full_plan), Fraction(0))
+
+
+def test_each_search_stops_at_its_sink(monkeypatch):
+    """On the dense 40-point golden element the searches pop fewer than n
+    heap entries each on the whole; a search that settled every point would
+    pop at least n."""
+    space = load_space_doc(json.loads((INPUTS / "rand40.json").read_text()))
+    element = load_element_doc(space, json.loads((INPUTS / "rand40_elem.json").read_text()))
+    searches = pops = 0
+
+    def search(*args):
+        nonlocal searches
+        searches += 1
+        return _dijkstra(*args)
+
+    def pop(heap):
+        nonlocal pops
+        pops += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(transport, "_dijkstra", search)
+    monkeypatch.setattr(transport, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=pop))
+    free_norm(space, element)
+    assert 0 < pops < len(space) * searches

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lipfree import InputError, build_system, free_norm, to_point_masses
 from lipfree.serialization import (
@@ -13,6 +15,7 @@ from lipfree.serialization import (
     load_space_doc,
     load_system_doc,
     parse_rational,
+    read_space_doc,
     render_rational,
     space_to_doc,
     system_to_doc,
@@ -72,6 +75,31 @@ class TestDocuments:
         doc = {"labels": ["0", "a"], "base": "0", "dist": [[0, "bad"]]}
         with pytest.raises(InputError, match="2x2"):
             load_space_doc(doc)
+
+    def test_a_boolean_after_its_equal_int_is_refused_where_it_stands(self):
+        doc = {"labels": ["0", "a", "b"], "base": "0",
+               "dist": [[0, 1, 1], [1, 0, True], [1, True, 0]]}
+        with pytest.raises(InputError, match=r"^dist\[1\]\[2\]: booleans are not rationals$"):
+            load_space_doc(doc)
+
+    def test_a_repeated_bad_entry_is_refused_at_its_first_position(self):
+        doc = {"labels": ["0", "a", "b"], "base": "0",
+               "dist": [[0, 1, "x"], [1, 0, "x"], ["x", "x", 0]]}
+        with pytest.raises(InputError, match=r"^dist\[0\]\[2\]: cannot parse rational 'x'$"):
+            load_space_doc(doc)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-3, 3),
+                           st.sampled_from(["2", "4/2", "-3", "1/3", "2/6", "0", "-0"])),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_each_entry_parses_as_it_would_alone(self, dist):
+        """Entries parsed once per document read as ``parse_rational`` reads
+        each of them, whatever the mix of equal ints and strings."""
+        doc = {"labels": [str(i) for i in range(len(dist))], "base": "0", "dist": dist}
+        parsed = read_space_doc(doc)[1]
+        assert parsed == [[parse_rational(x) for x in row] for row in dist]
+        assert all(type(x) is Fraction for row in parsed for x in row)
 
     def test_system_round_trip(self):
         space = load_space_doc(TRI_DOC)
