@@ -23,18 +23,25 @@ handlers, object finalizers, module teardown), a cost paid after the report
 is out. Library callers and tests call ``main``, which returns the code and
 never exits.
 
-``cli`` imports a library module only in the code that runs it: each
-handler imports what it uses, so a command compiles and loads only the
-modules it runs, and ``--help`` and usage errors load ``cli`` and ``errors``
-alone. argparse's own writer swallows a failed write of help or usage text;
-``_Parser`` writes it so that the failure reaches ``main`` and exits 3.
+``cli`` keeps nothing but ``os``, ``sys``, ``types`` (which ``site`` loads at
+start-up) and ``errors`` at module level, and imports a library module only in
+the code that runs it: each handler imports what it uses, so a command
+compiles and loads only the modules it runs. ``COMMANDS`` is the one table
+of commands and their flags. ``_parse_fast`` reads a well-formed command
+line from it without argparse; every other command line, help and every
+usage error among them, goes to the argparse parser that ``_build_parser``
+makes from the same table. That parser is the only writer of help, usage
+and error text, and such a run loads of lipfree only ``cli`` and
+``errors``. argparse's own writer swallows a failed write of help or usage
+text; the parser's ``Parser`` class writes it so that the failure reaches
+``main`` and exits 3.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import CertificateMismatchError, InputError, LipfreeError
 
@@ -56,24 +63,23 @@ GEN_KINDS = {
 }
 
 
-def _integer(raw: str) -> int:
-    """``int(raw)`` for ASCII ``-?[0-9]+`` only, not the separators, spaces, plus
-    sign and non-ASCII digits ``int`` takes; the error reads as ``type=int``'s."""
+def _integer(raw: str) -> int | None:
+    """``int(raw)`` for ASCII ``-?[0-9]+`` only, else ``None``: not the
+    separators, spaces, plus sign and non-ASCII digits ``int`` takes."""
     if raw.isascii() and raw.removeprefix("-").isdigit():
         try:
             return int(raw)
         except ValueError:  # more digits than int() converts
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    return None
 
 
 def _max_points() -> int:
     raw = os.environ.get("LIPFREE_MAX_POINTS", "")
     if not raw:
         return DEFAULT_MAX_POINTS
-    try:
-        cap = _integer(raw)
-    except argparse.ArgumentTypeError:
+    cap = _integer(raw)
+    if cap is None:
         raise InputError(f"LIPFREE_MAX_POINTS must be an integer, got {raw!r}")
     if cap < 1:
         raise InputError("LIPFREE_MAX_POINTS must be positive")
@@ -396,75 +402,135 @@ def cmd_stability(args) -> tuple[int, dict]:
     return _code(verified), report
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, except that help or usage text that cannot be written raises.
+# ---------------------------------------------------------------- parsing
 
-    ``_print_message`` is argparse's one writer of help, usage and error text,
-    and it ignores an ``OSError``; subparsers are made of the same class.
+
+_SPACE = {"required": True, "help": "space JSON document"}
+_SYSTEM = {"required": True, "help": "system JSON document"}
+_ELEMENT = {"required": True, "help": "element JSON document"}
+_EPS = {"required": True, "help": "positive rational, e.g. 1/2"}
+_ORACLE = {"action": "store_true", "help": "cross-check with brute force"}
+
+# each command: its handler and its flags as ``add_argument`` keywords, in
+# the order ``<cmd> --help`` lists them; ``"type": _integer`` marks an
+# integer flag, which argparse reads through ``_integer`` too
+COMMANDS = {
+    "validate": (cmd_validate, {"--space": _SPACE}),
+    "gen": (cmd_gen, {
+        "--kind": {"choices": list(GEN_KINDS), "required": True},
+        "--size": {"type": _integer, "required": True},
+        "--seed": {"type": _integer, "default": 0},
+        "--profile": {"choices": ["generic", "near-degenerate"], "default": "generic"},
+    }),
+    "norm": (cmd_norm, {"--space": _SPACE, "--element": _ELEMENT, "--oracle": _ORACLE}),
+    "attains": (cmd_attains, {"--space": _SPACE, "--system": _SYSTEM, "--oracle": _ORACLE}),
+    "decompose": (cmd_decompose, {"--space": _SPACE, "--element": _ELEMENT}),
+    "potentials": (cmd_potentials, {"--space": _SPACE, "--system": _SYSTEM, "--oracle": _ORACLE}),
+    "norming": (cmd_norming, {"--space": _SPACE, "--system": _SYSTEM}),
+    "gateaux-eps": (cmd_gateaux_eps, {"--space": _SPACE, "--system": _SYSTEM, "--eps": _EPS}),
+    "decide": (cmd_decide, {"--space": _SPACE, "--system": _SYSTEM, "--oracle": _ORACLE}),
+    "coverage-prefix": (cmd_coverage_prefix, {"--space": _SPACE, "--system": _SYSTEM, "--eps": _EPS}),
+    "l1-check": (cmd_l1_check, {
+        "--space": _SPACE,
+        "--system": _SYSTEM,
+        "--max-pairs": {"type": _integer, "default": 20},
+    }),
+    "stability": (cmd_stability, {
+        "--space": _SPACE,
+        "--system": _SYSTEM,
+        "--function": {"default": None, "help": "candidate function JSON"},
+        "--eps": {"default": None, "help": "positive rational"},
+    }),
+}
+
+
+def _parse_fast(argv) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed ``argv``, else ``None``.
+
+    Well-formed is a command, then flags of it spelled out in full, each
+    given once and each that takes a value followed by one that does not
+    start with ``-``, with every required flag given and every value of its
+    flag's type and choices. Every other ``argv`` is argparse's to read or
+    refuse: help, abbreviations, ``--flag=value``, repeated flags, values
+    starting with ``-`` and every usage error.
     """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, flags = COMMANDS[argv[0]]
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        spec = flags.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:  # store_true
+            given[flag] = True
+            continue
+        raw = next(rest, "-")  # a missing value fails like one starting with "-"
+        if raw.startswith("-"):
+            return None
+        value = _integer(raw) if spec.get("type") is _integer else raw
+        if value is None or value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in flags.items()):
+        return None
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for flag, spec in flags.items():
+        default = spec.get("default", False if "action" in spec else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
-    def _print_message(self, message, file=None):
-        if message:
-            (file or sys.stderr).write(message)
 
+def _build_parser():
+    """The argparse parser of ``COMMANDS``: help, usage and error text."""
+    import argparse
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    class Parser(argparse.ArgumentParser):
+        """argparse, except that help or usage text that cannot be written raises.
+
+        ``_print_message`` is argparse's one writer of help, usage and error
+        text, and it ignores an ``OSError``; subparsers are made of the same
+        class.
+        """
+
+        def _print_message(self, message, file=None):
+            if message:
+                (file or sys.stderr).write(message)
+
+    def integer(raw):
+        value = _integer(raw)
+        if value is None:  # worded as type=int's error
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+        return value
+
+    parser = Parser(
         prog="lipfree",
         description="Exact decision procedures for free-space geometry "
         "over finite metric spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **flags):
+    for name, (handler, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
+        for flag, spec in flags.items():
+            if spec.get("type") is _integer:
+                spec = {**spec, "type": integer}
+            p.add_argument(flag, **spec)
         p.set_defaults(handler=handler)
-
-    space_arg = {"required": True, "help": "space JSON document"}
-    system_arg = {"required": True, "help": "system JSON document"}
-    element_arg = {"required": True, "help": "element JSON document"}
-    eps_arg = {"required": True, "help": "positive rational, e.g. 1/2"}
-    oracle_arg = {"action": "store_true", "help": "cross-check with brute force"}
-
-    add("validate", cmd_validate, **{"--space": space_arg})
-    add("gen", cmd_gen, **{
-        "--kind": {"choices": list(GEN_KINDS), "required": True},
-        "--size": {"type": _integer, "required": True},
-        "--seed": {"type": _integer, "default": 0},
-        "--profile": {"choices": ["generic", "near-degenerate"], "default": "generic"},
-    })
-    add("norm", cmd_norm, **{"--space": space_arg, "--element": element_arg, "--oracle": oracle_arg})
-    add("attains", cmd_attains, **{"--space": space_arg, "--system": system_arg, "--oracle": oracle_arg})
-    add("decompose", cmd_decompose, **{"--space": space_arg, "--element": element_arg})
-    add("potentials", cmd_potentials, **{"--space": space_arg, "--system": system_arg, "--oracle": oracle_arg})
-    add("norming", cmd_norming, **{"--space": space_arg, "--system": system_arg})
-    add("gateaux-eps", cmd_gateaux_eps, **{"--space": space_arg, "--system": system_arg, "--eps": eps_arg})
-    add("decide", cmd_decide, **{"--space": space_arg, "--system": system_arg, "--oracle": oracle_arg})
-    add("coverage-prefix", cmd_coverage_prefix, **{"--space": space_arg, "--system": system_arg, "--eps": eps_arg})
-    add("l1-check", cmd_l1_check, **{
-        "--space": space_arg,
-        "--system": system_arg,
-        "--max-pairs": {"type": _integer, "default": 20},
-    })
-    add("stability", cmd_stability, **{
-        "--space": space_arg,
-        "--system": system_arg,
-        "--function": {"default": None, "help": "candidate function JSON"},
-        "--eps": {"default": None, "help": "positive rational"},
-    })
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as err:  # argparse printed help or a usage error
-            sys.stdout.flush()
-            return EXIT_INPUT if err.code else EXIT_OK
+        args = _parse_fast(argv)
+        if args is None:
+            try:
+                args = _build_parser().parse_args(argv)
+            except SystemExit as err:  # argparse printed help or a usage error
+                sys.stdout.flush()
+                return EXIT_INPUT if err.code else EXIT_OK
         code, report = args.handler(args)
         if getattr(args, "oracle", False):
             report["oracle"] = "agree"

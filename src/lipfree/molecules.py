@@ -41,7 +41,9 @@ class BetaMatrix(Record):
     """Square rational matrix with zero diagonal, indexed by pair positions.
 
     ``scaled`` is the same matrix over a common denominator, as integers;
-    it is worked out on first read and shared by every ``restrict``.
+    it is worked out on first read and shared by every ``restrict``. A
+    matrix made by ``restrict`` holds its integer rows and builds ``beta`` on
+    first read.
     """
 
     beta: tuple[tuple[Fraction, ...], ...]
@@ -70,22 +72,35 @@ class BetaMatrix(Record):
         return den, tuple(map(tuple, rows))
 
     def restrict(self, index: Sequence[int]) -> BetaMatrix:
-        """The principal submatrix on ``index``, together with its integer rows.
+        """The principal submatrix on ``index``, cut from the integer rows alone.
 
         A principal submatrix of a valid beta is valid, so no entry is checked
         again, and the integer rows keep this matrix's denominator: a common
         multiple of the submatrix's denominators takes the same branches in
         every sum comparison and gives the same Fractions once divided back.
+        Its Fraction rows are cut from this matrix's when ``beta`` is first
+        read, which in ``l1_basis_check`` is the one failing orientation's
+        witness sum.
         """
-
-        def pick(rows):
-            return tuple(tuple(map(rows[j].__getitem__, index)) for j in index)
-
+        index = tuple(index)
         den, scaled = self.scaled
         sub = object.__new__(BetaMatrix)
-        object.__setattr__(sub, "beta", pick(self.beta))
-        object.__setattr__(sub, "scaled", (den, pick(scaled)))
+        object.__setattr__(sub, "scaled", (den, _pick(scaled, index)))
+        object.__setattr__(sub, "_cut", (self.beta, index))
         return sub
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: ``beta`` of a restricted matrix
+        cut = self.__dict__.pop("_cut", None) if name == "beta" else None
+        if cut is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "beta", _pick(*cut))
+        return self.beta
+
+
+def _pick(rows, index):
+    """The principal submatrix of ``rows`` on ``index``, as a tuple of tuples."""
+    return tuple(tuple(map(rows[j].__getitem__, index)) for j in index)
 
 
 class PointMassElement(Record):

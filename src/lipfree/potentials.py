@@ -144,16 +144,16 @@ def closure(beta: BetaMatrix) -> PotentialTable | NegativeCycleWitness:
     Returns a NegativeCycleWitness when some cycle has negative arc sum, else
     the table, which runs Floyd-Warshall only when it is read. Bellman-Ford
     decides on ``beta.scaled``, beta as integers over a common denominator,
-    which takes the same branches as the rational matrix; the witness sum is
-    taken on the rational beta.
+    which takes the same branches as the rational matrix; only a witness
+    reads the rational beta, for its sum.
     """
-    rows = beta.beta
+    rows = beta.scaled[1]
     if not rows:
         raise InputError("beta matrix must be nonempty")
-    seen = _find_negative_cycle(beta.scaled[1])
+    seen = _find_negative_cycle(rows)
     if seen is not None:
         cycle = _rotate_min_first(seen)
-        total = cycle_sum(rows, cycle)
+        total = cycle_sum(beta.beta, cycle)
         if total >= 0:
             raise CertificateMismatchError(
                 "predecessor walk must produce a negative cycle"

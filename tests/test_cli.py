@@ -4,11 +4,14 @@ import errno
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lipfree.cli as cli
 import lipfree.generators as generators
@@ -20,6 +23,7 @@ from lipfree.molecules import BetaMatrix
 from lipfree.norming import PartialFunction, build_on_N, extend_upper
 from lipfree.potentials import NegativeCycleWitness, recheck_witness
 from lipfree.serialization import dumps_canonical, load_function_doc
+from test_golden import CASES, argv_of
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -564,6 +568,86 @@ class TestEmptyFamily:
         code, out, err = run(capsys, command, "--space", docs["tri"], "--system", empty, *extra)
         assert (code, out) == (2, "")
         assert f"{empty} has no pairs" in err
+
+
+PARSER = cli._build_parser()
+FLAGS = sorted({flag for _, flags in cli.COMMANDS.values() for flag in flags})
+# values that are empty, are or start with "-", start with "+", hold a space,
+# are not a choice ("ring") or are one ("star"), or are integers
+VALUES = ["", "-", "-5", "+5", "x y", "-x y", "ring", "star", "near-degenerate", "3", "007",
+          "a.json"]
+# every command and flag, abbreviations, help, "--", joined values, and VALUES
+TOKENS = [*cli.COMMANDS, *FLAGS, "--sp", "--sys", "--el", "--e", "--ora", "--max", "--k",
+          "--si", "-h", "--help", "--", "--space=a.json", "--size=3", "--kind=star", *VALUES]
+# a value of each flag that its type and choices take; any other flag takes "a.json"
+VALID = {"--kind": "star", "--size": "3", "--seed": "3", "--max-pairs": "3",
+         "--profile": "near-degenerate"}
+
+
+def argparse_reading(argv):
+    """``vars`` of argparse's namespace for ``argv``, or ``None`` where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its required flags and some others in any order, each value
+    valid or drawn from VALUES, then up to two tokens replaced or inserted;
+    or any tokens."""
+    token = st.sampled_from(TOKENS)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(token, max_size=8))
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[command][1]
+    argv = [command]
+    for flag in draw(st.permutations(list(flags))):
+        if "action" in flags[flag]:
+            argv += [flag] * draw(st.booleans())
+        elif flags[flag].get("required") or draw(st.booleans()):
+            valid = st.just(VALID.get(flag, "a.json"))
+            argv += [flag, draw(st.one_of(valid, valid, st.sampled_from(VALUES)))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(token)]
+    return argv
+
+
+class TestParsing:
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_fast_parse_is_argparse_or_nothing(self, argv):
+        fast = cli._parse_fast(argv)
+        assert fast is None or vars(fast) == argparse_reading(argv)
+
+    @pytest.mark.parametrize("name,template,expected", CASES, ids=[c[0] for c in CASES])
+    def test_every_golden_takes_the_fast_path(self, name, template, expected):
+        argv = argv_of(template)
+        fast = cli._parse_fast(argv)
+        assert fast is not None
+        assert vars(fast) == argparse_reading(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], [], ["decide", "--help"], ["frobnicate"],
+        ["gen", "--kind", "star"], ["gen", "--kind=star", "--size=3"],
+        ["gen", "--k", "star", "--size", "3"], ["gen", "--kind", "star", "--size", "+5"],
+        ["gen", "--kind", "star", "--size", "-1"], ["gen", "--kind", "ring", "--size", "3"],
+        ["gen", "--kind", "star", "--size", "3", "--size", "4"],
+        ["validate", "--space", "-"], ["validate", "--", "--space", "a.json"],
+        ["norm", "--oracle", "x", "--space", "a.json", "--element", "b.json"],
+    ], ids=["help", "h", "empty", "decide-help", "unknown-command", "missing-flag",
+            "joined-values", "abbreviation", "plus", "negative", "non-choice", "repeated",
+            "dash-value", "double-dash", "extra-token"])
+    def test_every_other_form_is_left_to_argparse(self, argv):
+        assert cli._parse_fast(argv) is None
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["lipfree", "gen", "--kind", "line", "--size", "2"])
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out)["labels"] == ["0", "1"]
 
 
 class _Full(io.RawIOBase):

@@ -420,10 +420,14 @@ def test_restrict_is_the_submatrix_built_afresh(case):
     parent = BetaMatrix(beta=beta)
     sub = [[beta[j][k] for k in index] for j in index]
     restricted, fresh = parent.restrict(index), BetaMatrix(beta=sub)
+    result, expected = closure(restricted), closure(fresh)
+    # the Fraction rows of a restricted matrix are cut when first read, and
+    # closure reads them only for a witness's sum
+    assert ("beta" in vars(restricted)) == isinstance(result, NegativeCycleWitness)
     assert restricted == fresh
+    assert (hash(restricted), repr(restricted)) == (hash(fresh), repr(fresh))
     assert restricted.scaled[0] == parent.scaled[0]
     assert [[Fraction(x, parent.scaled[0]) for x in row] for row in restricted.scaled[1]] == sub
-    result, expected = closure(restricted), closure(fresh)
     assert result == expected
     if isinstance(result, NegativeCycleWitness):
         assert (result.cycle, result.sum) == (expected.cycle, expected.sum)

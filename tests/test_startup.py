@@ -149,6 +149,20 @@ class TestCommandImports:
     def test_differentiability_and_potentials(self, argv):
         assert {"lipfree.differentiability", "lipfree.potentials"} <= loaded_by(*argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--space", "tri.json", "--element", "elem.json"),
+            ("decide", "--space", "c06.json", "--system", "c06_sys.json"),
+            ("l1-check", "--space", "line.json", "--system", "line_pairs.json"),
+            ("gen", "--kind", "star", "--size", "2"),
+            ("validate", "--space", "tri.json"),
+        ],
+        ids=["norm", "decide", "l1-check", "gen", "validate"],
+    )
+    def test_a_well_formed_command_line_loads_no_argparse(self, argv):
+        assert not loaded_by(*argv) & {"argparse", "gettext", "locale"}
+
 
 class TestDispatcherImports:
     @pytest.mark.parametrize(
@@ -166,6 +180,7 @@ class TestDispatcherImports:
         loaded = loaded_by(*argv, codes=(code,))
         assert {m for m in loaded if m.partition(".")[0] == "lipfree"} == DISPATCHER
         assert not loaded & {"fractions", "json"}
+        assert "argparse" in loaded  # the only writer of help and usage text
 
 
 class TestLazyPackage:
