@@ -5,8 +5,9 @@ Exit codes: 0 positive verdict or plain success, 1 negative verdict,
 3 internal certificate mismatch (failed self-verification or oracle
 disagreement) or any other internal fault, so a bug can never read as a
 negative verdict. Re-verified from the raw inputs before printing: the
-reports of ``norm``, ``attains``, ``decompose``, ``decide`` and
-``stability``, ``norming``'s values on N and its two extensions, and every
+reports of ``norm``, ``attains``, ``decompose`` and ``decide``, the verdict
+that ``stability`` builds on (its bound is read off the raw distances),
+``norming``'s values on N and its two extensions, and every
 negative-cycle witness, on the pairs it is printed with. Not yet
 re-verified: the table ``potentials`` prints, the reports of
 ``gateaux-eps`` and ``coverage-prefix``, and an isometric ``l1-check``.
@@ -333,7 +334,7 @@ def cmd_decide(args) -> tuple[int, dict]:
         detail = {
             "kind": "uncovered",
             "point": space.labels[failure.point],
-            "extension_gap": render_rational(verdict.extension_gap),
+            "extension_gap": render_rational(failure.extension_gap),
         }
     return EXIT_NEGATIVE, {"kind": "not_gateaux", "failure": detail}
 
@@ -371,8 +372,7 @@ def cmd_l1_check(args) -> tuple[int, dict]:
 
 
 def cmd_stability(args) -> tuple[int, dict]:
-    from .differentiability import (
-        VerdictKind, decide, recheck_verdict, stability_bound, stability_holds)
+    from .differentiability import frechet_verdict, stability_bound, stability_holds
     from .serialization import load_function_doc, parse_rational, render_rational
 
     # refused before any document is read: the two flags make one question
@@ -381,22 +381,21 @@ def cmd_stability(args) -> tuple[int, dict]:
     if args.eps is not None and args.function is None:
         raise InputError("--eps requires --function")
     space, system = _load_system(args)
-    verdict = decide(space, system)
-    if verdict.kind is not VerdictKind.FRECHET:
-        raise InputError("stability bound applies to Frechet points only")
-    recheck_verdict(space, system, verdict)
-    bound = stability_bound(space, system)
+    verdict = frechet_verdict(space, system)
+    if args.function is None:
+        verified, bound = None, stability_bound(space, system)
+    else:
+        g = load_function_doc(space, _read_json(args.function))
+        eps = parse_rational(args.eps, "eps")
+        verified, bound = stability_holds(space, system, verdict.norming, g, eps)
     report = {
         "theta": render_rational(bound.theta),
         "diameter": render_rational(bound.D),
         "pairs": bound.n,
         "bound": render_rational(bound.K),
     }
-    if args.function is None:
+    if verified is None:
         return EXIT_OK, report
-    g = load_function_doc(space, _read_json(args.function))
-    eps = parse_rational(args.eps, "eps")
-    verified = stability_holds(space, system, verdict.norming, bound, g, eps)
     report["eps"] = render_rational(eps)
     report["verified"] = verified
     return _code(verified), report

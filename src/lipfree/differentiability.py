@@ -60,25 +60,31 @@ class NonUniqueOnN(Record):
 
 
 class Uncovered(Record):
-    """Point lying on no tight segment between pair points."""
+    """Point p lying on no tight segment between pair points.
+
+    ``extension_gap``, set by ``decide``, is min over a in N of f(a) + d(a, p)
+    minus max over b in N of f(b) - d(b, p): a claim the family determines,
+    kept for ``recheck_verdict`` to recompute and compare when it is stated.
+    """
 
     point: int
+    extension_gap: Fraction | None = None
 
 
 Failure = NotAttaining | NonUniqueOnN | Uncovered
 
 
 class DiffVerdict(Record):
-    """``extension_gap``, set by ``decide`` on an ``Uncovered`` failure at p, is
-    min over a in N of f(a) + d(a, p) minus max over b in N of f(b) - d(b, p):
-    the largest 1-Lipschitz extension of f on N minus the smallest, at p.
+    """A Frechet verdict carries ``norming`` and ``coverage``, any other one a
+    ``failure``. ``kind`` restates which, and stays a field because callers
+    build verdicts with ``kind=``; ``recheck_verdict`` refuses a verdict
+    whose kind contradicts its other fields.
     """
 
     kind: VerdictKind
     norming: LipschitzFunction | None = None
     failure: Failure | None = None
     coverage: dict[int, tuple[int, int]] | None = None
-    extension_gap: Fraction | None = None
 
 
 class GateauxEpsReport(Record):
@@ -102,13 +108,22 @@ class StabilityBound(Record):
     theta: Fraction
     D: Fraction
     n: int
-    K: Fraction
+
+    @property
+    def K(self) -> Fraction:
+        return (Fraction(4) / self.theta + 1) * self.n * self.n * self.D
 
 
 class L1Verdict(Record):
-    isometric: bool
-    orientation: tuple[bool, ...] | None
-    witness: NegativeCycleWitness | None
+    """The first orientation that is not cyclically monotone, with its
+    negative-cycle ``witness``; both ``None`` when the family is isometric."""
+
+    orientation: tuple[bool, ...] | None = None
+    witness: NegativeCycleWitness | None = None
+
+    @property
+    def isometric(self) -> bool:
+        return self.witness is None
 
 
 def _function_slacks(space, partial, eps=0) -> tuple[int, Sequence[Sequence[int]], list, int]:
@@ -179,7 +194,7 @@ def decide(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
         if slack:
             f = partial.values
             gap = min(f[a] + space.d(a, p) for a in f) - max(f[b] - space.d(b, p) for b in f)
-            return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(p), extension_gap=gap)
+            return DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(p, gap))
         coverage[p] = (s, t)
     # full coverage pins the free constant, so normalise at the base point
     g1 = extend_upper(space, partial)
@@ -267,7 +282,7 @@ def l1_basis_check(
     pairs = _checked_pairs(space, pairs)
     n = len(pairs)
     if n == 0:
-        return L1Verdict(isometric=True, orientation=None, witness=None)
+        return L1Verdict()
     if n > max_pairs:
         raise ResourceLimitError(
             f"l1 basis check is exponential; cap is {max_pairs} pairs, got {n}"
@@ -277,23 +292,33 @@ def l1_basis_check(
         orientation = (False,) + flips
         result = closure(both.restrict([j + n * flip for j, flip in enumerate(orientation)]))
         if isinstance(result, NegativeCycleWitness):
-            return L1Verdict(
-                isometric=False, orientation=orientation, witness=result
-            )
-    return L1Verdict(isometric=True, orientation=None, witness=None)
+            return L1Verdict(orientation=orientation, witness=result)
+    return L1Verdict()
 
 
 def stability_bound(
     space: FiniteMetricSpace, system: MoleculeSystem
 ) -> StabilityBound:
-    """Constant K = (4/theta + 1) * n^2 * D controlling near-norming functions."""
-    if len(system.pairs) == 0:
-        raise InputError("stability bound requires a nonempty system")
-    theta = space.theta()
-    D = space.diameter()
+    """Constant K = (4/theta + 1) * n^2 * D controlling near-norming functions.
+
+    ``space.theta()`` and ``space.diameter()`` read the raw ``dist``, not its
+    integer form, so that no scaling fault reaches a printed bound.
+    """
     n = len(system.pairs)
-    K = (Fraction(4) / theta + 1) * n * n * D
-    return StabilityBound(theta=theta, D=D, n=n, K=K)
+    if n == 0:
+        raise InputError("stability bound requires a nonempty system")
+    return StabilityBound(theta=space.theta(), D=space.diameter(), n=n)
+
+
+def frechet_verdict(space: FiniteMetricSpace, system: MoleculeSystem) -> DiffVerdict:
+    """``decide``'s verdict once ``recheck_verdict`` has passed it; InputError
+    unless it is Frechet. The re-check comes first, so that a wrong verdict of
+    either kind is a ``CertificateMismatchError``, never an input error."""
+    verdict = decide(space, system)
+    recheck_verdict(space, system, verdict)
+    if verdict.kind is not VerdictKind.FRECHET:
+        raise InputError("stability bound applies to Frechet points only")
+    return verdict
 
 
 def verify_stability(
@@ -310,18 +335,17 @@ def verify_stability(
     d(x, y) - (g(x) - g(y)) is below eps * d(x, y), which the n^2 * D
     factor of K needs.
     """
-    verdict = decide(space, system)
-    if verdict.kind is not VerdictKind.FRECHET:
-        raise InputError("stability bound applies to Frechet points only")
-    bound = stability_bound(space, system)
-    return stability_holds(space, system, verdict.norming, bound, g, eps)
+    holds, _ = stability_holds(space, system, frechet_verdict(space, system).norming, g, eps)
+    return holds
 
 
 def stability_holds(
     space: FiniteMetricSpace, system: MoleculeSystem, f: LipschitzFunction,
-    bound: StabilityBound, g: LipschitzFunction, eps,
-) -> bool:
-    """``verify_stability`` given the family's norming function f and its bound."""
+    g: LipschitzFunction, eps,
+) -> tuple[bool, StabilityBound]:
+    """``verify_stability`` given the family's norming function f, with the
+    family's bound, worked out here once the inputs pass, for the caller to
+    report."""
     eps = positive_eps(eps)
     if len(f.values) != len(space) or not all(map(is_exact, f.values)):
         raise InputError(
@@ -331,6 +355,7 @@ def stability_holds(
         raise InputError(f"candidate function has Lipschitz constant {exact(lip)} > 1")
     if g.values[space.base] != 0:
         raise InputError("candidate function must vanish at the base point")
+    bound = stability_bound(space, system)
     g_mu = sum(
         (
             w * (g.values[x] - g.values[y]) / space.d(x, y)
@@ -339,9 +364,9 @@ def stability_holds(
         Fraction(0),
     )
     if not g_mu > 1 - eps * min(system.weights):
-        return True
+        return True, bound
     gap = max(abs(f.values[p] - g.values[p]) for p in space.points())
-    return gap <= bound.K * eps
+    return gap <= bound.K * eps, bound
 
 
 def recheck_verdict(
@@ -360,6 +385,9 @@ def recheck_verdict(
     at an uncovered point p makes the two extremal extensions of f, shifted
     to vanish at the base, two different norming functions.
 
+    A Frechet verdict that carries a failure, and any other that carries a
+    norming function or a coverage map, contradicts its own ``kind``.
+
     A failure names its indices as ``metric.is_index`` reads them: a point of
     the space for ``Uncovered``, and for ``NonUniqueOnN`` a tuple of two
     distinct pair indices, in either order. Any other index raises
@@ -374,6 +402,8 @@ def recheck_verdict(
         cov = verdict.coverage
         if f is None or cov is None:
             raise CertificateMismatchError("Frechet verdict missing certificates")
+        if verdict.failure is not None:
+            raise CertificateMismatchError("Frechet verdict carries a failure")
         n = len(space)
         recheck_function(space, f, "norming function")
         if not all(is_index(p, n) and type(st) is tuple and len(st) == 2
@@ -396,6 +426,8 @@ def recheck_verdict(
             if space.d(s, p) + space.d(t, p) != space.d(s, t):
                 raise CertificateMismatchError(f"point {p} not on its segment")
         return
+    if verdict.norming is not None or verdict.coverage is not None:
+        raise CertificateMismatchError("failed verdict carries Frechet certificates")
     failure = verdict.failure
     if isinstance(failure, NotAttaining):
         recheck_witness(beta, failure.witness)
@@ -424,6 +456,6 @@ def recheck_verdict(
     gap = min(f[a] + space.d(a, p) for a in f) - max(f[b] - space.d(b, p) for b in f)
     if gap <= 0:
         raise CertificateMismatchError(f"point {p} is actually covered")
-    if verdict.extension_gap is not None and verdict.extension_gap != gap:
-        stated = exact(verdict.extension_gap)
-        raise CertificateMismatchError(f"stated extension gap {stated} is not {exact(gap)}")
+    stated = failure.extension_gap
+    if stated is not None and (not is_exact(stated) or stated != gap):
+        raise CertificateMismatchError(f"stated extension gap {exact(stated)} is not {exact(gap)}")

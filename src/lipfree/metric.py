@@ -91,19 +91,27 @@ def floyd_warshall(rows: list[list[int]]) -> None:
                     row_i[j] = cand
 
 
+# the most violations a report lists; one is enough to refuse a matrix
+MAX_VIOLATIONS = 100
+
+
 class ValidationReport(Record):
     """Outcome of checking a raw labelled distance matrix.
 
     ``theta`` is the minimal positive distance and ``diameter`` the maximal
     entry; both are computed exactly even when validation fails. ``theta``
     is None when no positive entry exists; ``diameter`` is always a
-    ``Fraction``, 0 on a single point.
+    ``Fraction``, 0 on a single point. The matrix is a metric iff it has no
+    violation.
     """
 
-    ok: bool
     violations: tuple[tuple[str, tuple[int, ...]], ...]
     theta: Fraction | None
     diameter: Fraction
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 class FiniteMetricSpace(Record):
@@ -140,36 +148,34 @@ class FiniteMetricSpace(Record):
             raise InputError(f"unknown point label {label!r}") from None
 
     def theta(self) -> Fraction:
-        """Minimal positive distance; requires at least two points."""
+        """Minimal off-diagonal distance, read off the raw ``dist`` (not
+        ``scaled``, so that no scaling fault reaches it); requires at least
+        two points."""
         if len(self.labels) < 2:
             raise InputError("theta requires a space with at least 2 points")
-        den, rows = self.scaled
-        return Fraction(min(min(row[:i] + row[i + 1:]) for i, row in enumerate(rows)), den)
+        return Fraction(min(min(row[:i] + row[i + 1:]) for i, row in enumerate(self.dist)))
 
     def diameter(self) -> Fraction:
-        den, rows = self.scaled
-        return Fraction(max(map(max, rows), default=0), den)
+        """Maximal distance, read off the raw ``dist``; 0 on a single point."""
+        return Fraction(max(map(max, self.dist)))
 
 
 def validate_space(
-    labels: Sequence[str],
-    dist: Sequence[Sequence],
-    base: str,
-    *,
-    max_violations: int = 100,
+    labels: Sequence[str], dist: Sequence[Sequence], base: str
 ) -> ValidationReport:
     """Check a raw labelled distance matrix against the metric axioms.
 
     Violations are reported as (kind, index tuple), ordered lexicographically
-    by index tuple then kind, capped at ``max_violations`` for deterministic
-    output. Structural problems (non-square matrix, unknown base label,
-    non-rational entries) raise InputError instead of being reported.
+    by index tuple then kind, the first ``MAX_VIOLATIONS`` of them, for
+    deterministic output. Structural problems (non-square matrix, unknown
+    base label, non-rational entries) raise InputError instead of being
+    reported.
     """
-    return _validate(labels, dist, base, max_violations)[0]
+    return _validate(labels, dist, base)[0]
 
 
 def _validate(
-    labels: Sequence[str], dist: Sequence[Sequence], base: str, max_violations: int
+    labels: Sequence[str], dist: Sequence[Sequence], base: str
 ) -> tuple[ValidationReport, FiniteMetricSpace]:
     """``validate_space``'s report and the space it checked, valid or not.
 
@@ -228,14 +234,12 @@ def _validate(
                 if direct > a + b and j != i and j != k
             )
 
-    ok = not violations
     violations.sort(key=lambda v: (v[1], v[0]))
     positives = [x for i, row in enumerate(scaled) for j, x in enumerate(row) if x > 0 and i != j]
     report = ValidationReport(
-        ok=ok,
-        violations=tuple(violations[:max_violations]),
+        violations=tuple(violations[:MAX_VIOLATIONS]),
         theta=Fraction(min(positives), den) if positives else None,
-        diameter=space.diameter(),
+        diameter=Fraction(max(map(max, scaled)), den),
     )
     return report, space
 
@@ -244,7 +248,7 @@ def build_space(
     labels: Sequence[str], dist: Sequence[Sequence], base: str
 ) -> FiniteMetricSpace:
     """Validate raw data and return the space validated; raise on failure."""
-    report, space = _validate(labels, dist, base, 100)
+    report, space = _validate(labels, dist, base)
     if not report.ok:
         raise InvalidSpaceError(report)
     return space

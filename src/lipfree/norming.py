@@ -24,17 +24,20 @@ if TYPE_CHECKING:
 class PartialFunction(Record):
     """Exact values on a subset of points (the pair point set N)."""
 
-    domain: tuple[int, ...]
     values: dict[int, Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(sorted(self.domain)))
-        if set(self.domain) != set(self.values):
-            raise InputError("partial function domain and values disagree")
+    @property
+    def domain(self) -> tuple[int, ...]:
+        """The points that have a value, sorted."""
+        return tuple(sorted(self.values))
 
 
 class LipschitzFunction(Record):
-    """Value vector over all points with an exactly certified Lipschitz constant."""
+    """Value vector over all points with an exactly certified Lipschitz constant.
+
+    ``lip_constant`` restates what the values and the space determine, and is
+    kept as the claim that ``recheck_function`` recomputes and compares.
+    """
 
     values: tuple[Fraction, ...]
     lip_constant: Fraction
@@ -120,7 +123,7 @@ def build_on_N(
     if space.base in values:
         shift = values[space.base]
         values = {p: v - shift for p, v in values.items()}
-    return PartialFunction(domain=tuple(values), values=values)
+    return PartialFunction(values)
 
 
 def _extension(

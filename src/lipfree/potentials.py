@@ -25,7 +25,11 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 class NegativeCycleWitness(Record):
-    """Simple cycle of pair indices whose beta arc sum is strictly negative."""
+    """Simple cycle of pair indices whose beta arc sum is strictly negative.
+
+    ``sum`` restates what the cycle and beta determine, and is kept as the
+    claim that ``recheck_witness`` recomputes and compares.
+    """
 
     cycle: tuple[int, ...]
     sum: Fraction
@@ -88,9 +92,14 @@ class PotentialTable(Record):
 
 
 class MonotonicityVerdict(Record):
-    holds: bool
-    witness: NegativeCycleWitness | None
-    table: PotentialTable | None
+    """A negative-cycle ``witness``, or the ``table`` that solves the family."""
+
+    witness: NegativeCycleWitness | None = None
+    table: PotentialTable | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 def cycle_sum(beta: Matrix, cycle: tuple[int, ...]) -> Fraction:
@@ -198,8 +207,8 @@ def check_cyclical_monotonicity(
     """
     result = closure(beta_matrix(space, pairs))
     if isinstance(result, NegativeCycleWitness):
-        return MonotonicityVerdict(holds=False, witness=result, table=None)
-    return MonotonicityVerdict(holds=True, witness=None, table=result)
+        return MonotonicityVerdict(witness=result)
+    return MonotonicityVerdict(table=result)
 
 
 def aligned_and_cross_sums(

@@ -23,7 +23,11 @@ PlanLeg = tuple[int, int, Fraction]
 
 
 class TransportCertificate(Record):
-    """Primal plan and dual function proving the norm value exactly."""
+    """Primal plan and dual function proving the norm value exactly.
+
+    ``value`` restates the plan's cost and the dual's objective, and is kept
+    as the claim that ``recheck_certificate`` compares with both.
+    """
 
     value: Fraction
     plan: tuple[PlanLeg, ...]

@@ -148,7 +148,7 @@ def test_criterion_4_fixture_verdicts():
     tri_sys = build_system(tri, [(1, 0)], [1])
     verdict = decide(tri, tri_sys)
     assert verdict.kind is VerdictKind.NOT_GATEAUX
-    assert verdict.failure == Uncovered(point=2)
+    assert verdict.failure == Uncovered(point=2, extension_gap=1)
     table = check_cyclical_monotonicity(tri, tri_sys.pairs).table
     partial = build_on_N(tri, tri_sys.pairs, table)
     gap = extend_upper(tri, partial).values[2] - extend_lower(tri, partial).values[2]

@@ -437,7 +437,7 @@ class TestReports:
         assert report["verified"] is True
 
     def test_stability_solves_the_family_once(self, capsys, monkeypatch):
-        calls = {"decide": 0, "stability_bound": 0}
+        calls = {"decide": 0, "recheck_verdict": 0, "stability_bound": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -448,17 +448,14 @@ class TestReports:
         for name in calls:
             wrapper = counted(name, getattr(differentiability, name))
             monkeypatch.setattr(differentiability, name, wrapper)
-        code, out, _ = run(
-            capsys,
-            "stability",
-            "--space", str(INPUTS / "star3.json"),
-            "--system", str(INPUTS / "star3_sys.json"),
-            "--function", str(INPUTS / "star3_g_near.json"),
-            "--eps", "1/16",
-        )
-        assert code == 0
-        assert json.loads(out)["verified"] is True
-        assert calls == {"decide": 1, "stability_bound": 1}
+        family = ["--space", str(INPUTS / "star3.json"), "--system", str(INPUTS / "star3_sys.json")]
+        g = ["--function", str(INPUTS / "star3_g_near.json"), "--eps", "1/16"]
+        for extra, verified in [(g, True), ([], None)]:
+            calls.update(dict.fromkeys(calls, 0))
+            code, out, _ = run(capsys, "stability", *family, *extra)
+            assert code == 0
+            assert json.loads(out).get("verified") is verified
+            assert calls == {"decide": 1, "recheck_verdict": 1, "stability_bound": 1}
 
     def test_stability_rechecks_the_frechet_verdict(self, capsys, monkeypatch):
         # f = (0, 1, 1, 1/2) does not norm the pair (3, 0)
@@ -825,7 +822,7 @@ class TestLongResults:
             "verify_norming": lambda: verify_norming(unit, system, g),
             "stability_holds": lambda: differentiability.verify_stability(unit, system, g, 1),
             "extend_upper": lambda: extend_upper(
-                unit, PartialFunction(domain=(0, 1), values={0: Fraction(0), 1: steep})),
+                unit, PartialFunction({0: Fraction(0), 1: steep})),
             "build_on_N": lambda: build_on_N(
                 far, [(1, 0), (0, 1)], closure(BetaMatrix(beta=((0, 0), (0, 0))))),
             "recheck_witness": lambda: recheck_witness(

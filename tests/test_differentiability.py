@@ -109,7 +109,7 @@ class TestDecide:
         space, system = uncovered_fixture()
         verdict = decide(space, system)
         assert verdict.kind is VerdictKind.NOT_GATEAUX
-        assert verdict.failure == Uncovered(point=B)
+        assert verdict.failure == Uncovered(point=B, extension_gap=1)
         table = check_cyclical_monotonicity(space, system.pairs).table
         partial = build_on_N(space, system.pairs, table)
         gap = (
@@ -227,7 +227,7 @@ class TestFrechetRecheck:
         # that leave N = {0, 1}, where a norming function need not be tight
         line = gen_line(3)
         system = build_system(line, [(1, 0)], [1])
-        assert decide(line, system).failure == Uncovered(point=2)
+        assert decide(line, system).failure == Uncovered(point=2, extension_gap=2)
         forged = DiffVerdict(kind=VerdictKind.FRECHET,
                              norming=make_function(line, [0, 1, 2]),
                              coverage={0: (0, 1), 1: (0, 1), 2: (0, 2)})
@@ -265,13 +265,20 @@ class TestUncoveredRecheck:
     def test_decide_states_the_gap(self):
         space, system = uncovered_fixture()
         verdict = decide(space, system)
-        assert (verdict.failure, verdict.extension_gap) == (Uncovered(point=B), 1)
+        assert verdict.failure == Uncovered(point=B, extension_gap=1)
         recheck_verdict(space, system, verdict)
 
     def test_wrong_stated_gap_rejected(self):
         space, system = uncovered_fixture()
-        forged = decide(space, system).replace(extension_gap=Fraction(1, 2))
+        forged = decide(space, system).replace(failure=Uncovered(B, Fraction(1, 2)))
         with pytest.raises(CertificateMismatchError, match="stated extension gap 1/2 is not 1"):
+            recheck_verdict(space, system, forged)
+
+    @pytest.mark.parametrize("gap", [1.0, True], ids=repr)
+    def test_inexact_stated_gap_rejected(self, gap):
+        space, system = uncovered_fixture()
+        forged = decide(space, system).replace(failure=Uncovered(B, gap))
+        with pytest.raises(CertificateMismatchError, match="stated extension gap"):
             recheck_verdict(space, system, forged)
 
     @pytest.mark.parametrize("point", [0, A])
@@ -302,8 +309,7 @@ class TestUncoveredRecheck:
         monkeypatch.setattr(differentiability, "_function_slacks", unread)
         monkeypatch.setattr(differentiability, "min_coverage_slack", unread)
         space, system = uncovered_fixture()
-        verdict = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(B),
-                              extension_gap=Fraction(1))
+        verdict = DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(B, Fraction(1)))
         recheck_verdict(space, system, verdict)
 
 
@@ -347,6 +353,28 @@ class TestForgedVerdicts:
         with pytest.raises(CertificateMismatchError, match=message):
             recheck_verdict(star, system, forge(star, verdict))
 
+    @pytest.mark.parametrize("failure", [Uncovered(2), Uncovered(2, Fraction(2)),
+                                         NonUniqueOnN((0, 1))], ids=repr)
+    def test_frechet_verdict_with_a_failure_rejected(self, failure):
+        star, system = star_system(3)
+        forged = decide(star, system).replace(failure=failure)
+        with pytest.raises(CertificateMismatchError, match="Frechet verdict carries a failure"):
+            recheck_verdict(star, system, forged)
+
+    @pytest.mark.parametrize("fields", [("norming",), ("coverage",), ("norming", "coverage")],
+                             ids="+".join)
+    def test_failed_verdict_with_frechet_certificates_rejected(self, fields):
+        # the single pair (1, 0) leaves point 2 of the 3-star uncovered; the
+        # certificates are those of the whole star family, which is Frechet
+        star, family = star_system(3)
+        frechet = decide(star, family)
+        system = build_system(star, [(1, 0)], [1])
+        verdict = decide(star, system)
+        recheck_verdict(star, system, verdict)
+        forged = verdict.replace(**{field: getattr(frechet, field) for field in fields})
+        with pytest.raises(CertificateMismatchError, match="carries Frechet certificates"):
+            recheck_verdict(star, system, forged)
+
     def test_point_off_its_segment_rejected(self):
         # f = (0, 1, 0) norms the pair (1, 0) and is tight on it, but point 2
         # of the star is not on the segment [0, 1]
@@ -388,7 +416,7 @@ class TestForgedVerdicts:
         star = gen_star(3)
         system = build_system(star, [(1, 0)], [1])
         verdict = decide(star, system)
-        assert verdict.failure == Uncovered(2)
+        assert verdict.failure == Uncovered(2, 2)
         recheck_verdict(star, system, verdict)
 
         def solve(beta):
@@ -704,9 +732,8 @@ class TestStability:
         star, system = star_system(3)
         f = decide(star, system).norming
         g = f.replace(values=resize(f.values))
-        bound = stability_bound(star, system)
         with pytest.raises(InputError, match="must assign a value to every point"):
-            differentiability.stability_holds(star, system, f, bound, g, Fraction(1, 16))
+            differentiability.stability_holds(star, system, f, g, Fraction(1, 16))
 
     @pytest.mark.parametrize("resize", [lambda v: v + (Fraction(100),), lambda v: v[:-1]],
                              ids=["too-long", "too-short"])
@@ -716,9 +743,8 @@ class TestStability:
         system = build_system(star, [(p, 0) for p in range(1, 4)], [Fraction(1, 3)] * 3)
         g = decide(star, system).norming
         f = g.replace(values=resize(g.values))
-        bound = stability_bound(star, system)
         with pytest.raises(InputError, match="must assign a value to every point"):
-            differentiability.stability_holds(star, system, f, bound, g, Fraction(1, 16))
+            differentiability.stability_holds(star, system, f, g, Fraction(1, 16))
 
     def test_non_frechet_rejected(self):
         space, system = uncovered_fixture()
@@ -732,7 +758,7 @@ def recheck_with_f_on_n(monkeypatch, values):
     of the 3-star, with ``build_on_N`` replaced to answer ``values``."""
     star = gen_star(3)
     system = build_system(star, [(1, 0), (2, 3)], [Fraction(1, 2)] * 2)
-    forged = PartialFunction(domain=tuple(values), values={p: Fraction(v) for p, v in values.items()})
+    forged = PartialFunction({p: Fraction(v) for p, v in values.items()})
     monkeypatch.setattr(differentiability, "build_on_N", lambda space, pairs, table: forged)
     recheck_verdict(star, system, DiffVerdict(kind=VerdictKind.NOT_GATEAUX, failure=Uncovered(0)))
 

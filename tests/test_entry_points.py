@@ -31,7 +31,6 @@ from lipfree import (
     recheck_certificate,
     segment,
     segment_eps,
-    stability_bound,
     validate_space,
 )
 from lipfree.differentiability import stability_holds
@@ -130,7 +129,7 @@ def test_stability_refuses_a_norming_function_of_floats():
     g = decide(STAR, system).norming
     f = g.replace(values=(0, 1.0, 1.0, 0.99))
     with pytest.raises(InputError, match="each an int or a Fraction"):
-        stability_holds(STAR, system, f, stability_bound(STAR, system), g, Fraction(1, 16))
+        stability_holds(STAR, system, f, g, Fraction(1, 16))
 
 
 def test_decide_takes_exact_weights_only():

@@ -12,7 +12,9 @@ a count is an ``int`` already, or an input error.
 
 A third scan keeps the re-checks apart from the integer form the verdicts
 are found on: no body of ``RECHECKS`` reads a ``.scaled`` attribute or calls
-a routine of ``INTEGER_FORM``, so a scaling bug cannot confirm itself.
+a routine of ``INTEGER_FORM``, so a scaling bug cannot confirm itself. The
+stability bound, printed after the re-check of its verdict, is held to the
+same rule.
 """
 
 import ast
@@ -100,7 +102,7 @@ def test_no_int_coercion_outside_the_text_readers(path):
 
 
 RECHECKS = ("recheck_certificate", "recheck_witness", "recheck_verdict",
-            "recheck_function", "recheck_on_N", "lipschitz_constant")
+            "recheck_function", "recheck_on_N", "lipschitz_constant", "stability_bound")
 INTEGER_FORM = ("common_scale", "scale_to_integers", "_function_slacks", "_coverage",
                 "min_coverage_slack")
 

@@ -75,13 +75,16 @@ from lipfree import (
     gen_random,
     gen_star,
     l1_basis_check,
+    make_function,
     min_coverage_slack,
     recheck_certificate,
     recheck_verdict,
     recheck_witness,
+    stability_bound,
     validate_space,
+    verify_stability,
 )
-from lipfree import transport
+from lipfree import metric, transport
 from lipfree.generators import repair_to_metric
 from lipfree.metric import floyd_warshall, scale_to_integers
 from lipfree.norming import lipschitz_constant, recheck_on_N
@@ -363,7 +366,9 @@ def test_repair_to_metric_is_the_closure_of_the_symmetrised_matrix(raw):
 @given(raw_matrices())
 def test_triangle_scan_matches_fraction_reference(m):
     labels = [str(i) for i in range(len(m))]
-    report = validate_space(labels, m, "0", max_violations=10**6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "MAX_VIOLATIONS", 10**6)
+        report = validate_space(labels, m, "0")
     triangles = [v for v in report.violations if v[0] == "triangle"]
     assert triangles == sorted(reference_triangles(m), key=lambda v: v[1])
 
@@ -562,7 +567,7 @@ def partial_functions(draw):
         values = {p: t * space.d(a, p) + c for p in domain}
     else:
         values = {p: draw(rationals) / 10**5 for p in domain}
-    return space, PartialFunction(domain=tuple(domain), values=values)
+    return space, PartialFunction(values)
 
 
 @SETTINGS
@@ -572,9 +577,11 @@ def test_validate_space_matches_fraction_reference(m, zeros):
     for i, j in zeros:
         m[i % n][j % n] = Fraction(0)
     violations, theta, diameter = reference_validation(m)
-    report = validate_space([str(i) for i in range(n)], m, "0", max_violations=10**6)
-    assert report == ValidationReport(
-        ok=not violations, violations=tuple(violations), theta=theta, diameter=diameter)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "MAX_VIOLATIONS", 10**6)
+        report = validate_space([str(i) for i in range(n)], m, "0")
+    assert report == ValidationReport(violations=tuple(violations), theta=theta, diameter=diameter)
+    assert report.ok == (not violations)
 
 
 @SETTINGS
@@ -648,18 +655,17 @@ def anchored_pairs(draw):
 @given(st.one_of(spaces_with_pairs(), anchored_pairs()))
 def test_extension_gap_is_the_gap_between_the_extensions(case):
     """An uncovered verdict at p states upper(p) - lower(p) > 0 for the two
-    extremal extensions of f on N; no other verdict states a gap."""
+    extremal extensions of f on N; no other failure has a gap to state."""
     space, pairs = case
     system = MoleculeSystem(pairs=tuple(pairs), weights=(Fraction(1, len(pairs)),) * len(pairs))
     verdict = decide(space, system)
     recheck_verdict(space, system, verdict)
     if not isinstance(verdict.failure, Uncovered):
-        assert verdict.extension_gap is None
         return
     p = verdict.failure.point
     partial = build_on_N(space, system.pairs, closure(beta_matrix(space, system.pairs)))
     upper, lower = extend_upper(space, partial), extend_lower(space, partial)
-    assert verdict.extension_gap == upper.values[p] - lower.values[p] > 0
+    assert verdict.failure.extension_gap == upper.values[p] - lower.values[p] > 0
 
 
 def corrupted(space, rng):
@@ -720,6 +726,60 @@ def test_corrupted_scaled_form_never_passes_a_wrong_frechet_verdict():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def test_corrupted_scaled_form_never_prints_a_wrong_stability_bound():
+    """``lipfree stability`` prints ``stability_bound`` once ``recheck_verdict``
+    has passed the Frechet verdict, so the bound must not rest on the
+    integer form: on a corrupted one it is the true bound."""
+    rng = random.Random(7)
+    outcomes = {"mismatch": 0, "agree": 0}
+    for trial in range(200):
+        space = gen_random(rng.randint(3, 9), trial)
+        pairs = tuple((p, 0) for p in range(1, len(space)))
+        system = MoleculeSystem(pairs=pairs, weights=(Fraction(1, len(pairs)),) * len(pairs))
+        bad = corrupted(space, rng)
+        try:
+            verdict = decide(bad, system)
+            if verdict.kind is not VerdictKind.FRECHET:
+                continue
+            recheck_verdict(bad, system, verdict)
+        except CertificateMismatchError:
+            outcomes["mismatch"] += 1
+            continue
+        assert stability_bound(bad, system) == stability_bound(space, system)
+        outcomes["agree"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_corrupted_scaled_form_never_passes_a_wrong_stability_answer():
+    """``verify_stability`` on a corrupted integer form raises
+    ``CertificateMismatchError`` or answers as on the true form: True or
+    False at a Frechet family, an input error at any other. The candidate is
+    the true norming function, and eps is small enough that a wrong one
+    fails the bound."""
+    rng = random.Random(5)
+    eps = Fraction(1, 10**6)
+    outcomes = {"mismatch": 0, "agree": 0, "refused": 0}
+    for trial in range(600):
+        space = gen_random(rng.randint(3, 9), trial, rng.choice(["generic", "near-degenerate"]))
+        pairs = tuple((p, 0) for p in range(1, len(space)) if rng.random() < 0.7) or ((1, 0),)
+        weights = [Fraction(rng.randint(1, 9)) for _ in pairs]
+        system = MoleculeSystem(pairs=pairs, weights=tuple(w / sum(weights) for w in weights))
+        truth = decide(space, system)
+        g = truth.norming or make_function(space, [0] * len(space))
+        want = verify_stability(space, system, g, eps) if truth.norming else InputError
+        bad = corrupted(space, rng)
+        try:
+            got = verify_stability(bad, system, g, eps)
+        except CertificateMismatchError:
+            outcomes["mismatch"] += 1
+            continue
+        except InputError:
+            got = InputError
+        assert got == want, trial
+        outcomes["agree" if truth.norming else "refused"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def test_corrupted_scaled_form_never_passes_a_wrong_uncovered_verdict():
     """An uncovered verdict from a corrupted integer form fails
     ``recheck_verdict`` or names a point that is uncovered, with its true gap;
@@ -747,7 +807,7 @@ def test_corrupted_scaled_form_never_passes_a_wrong_uncovered_verdict():
         assert min_coverage_slack(space, system, p) > 0
         partial = build_on_N(space, system.pairs, closure(beta_matrix(space, system.pairs)))
         gap = extend_upper(space, partial).values[p] - extend_lower(space, partial).values[p]
-        assert verdict.extension_gap == gap
+        assert verdict.failure.extension_gap == gap
         blind = space.replace()
         object.__setattr__(blind, "scaled", None)
         recheck_verdict(blind, system, verdict)

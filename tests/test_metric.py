@@ -82,11 +82,12 @@ class TestValidateSpace:
         assert "asymmetry" in kinds
         assert "zero-offdiag" in kinds
 
-    def test_violations_sorted_and_capped(self):
+    def test_violations_sorted_and_capped(self, monkeypatch):
         n = 8
         labels = [str(i) for i in range(n)]
         dist = [[0 if i == j else -1 for j in range(n)] for i in range(n)]
-        report = validate_space(labels, dist, "0", max_violations=10)
+        monkeypatch.setattr(metric, "MAX_VIOLATIONS", 10)
+        report = validate_space(labels, dist, "0")
         assert len(report.violations) == 10
         indices = [idx for _, idx in report.violations]
         assert indices == sorted(indices)

@@ -72,7 +72,7 @@ class TestExtensions:
             assert lower.values[p] == partial.values[p]
 
     def test_three_point_example(self):
-        partial = PartialFunction(domain=(0, A), values={0: Fraction(0), A: Fraction(2)})
+        partial = PartialFunction({0: Fraction(0), A: Fraction(2)})
         upper = extend_upper(TRI, partial)
         lower = extend_lower(TRI, partial)
         assert upper.values[B] == 1
@@ -121,7 +121,7 @@ class TestExtensions:
                 assert lower.values[p] <= fn.values[p] <= upper.values[p]
 
     def test_non_lipschitz_partial_rejected(self):
-        partial = PartialFunction(domain=(0, A), values={0: Fraction(0), A: Fraction(5)})
+        partial = PartialFunction({0: Fraction(0), A: Fraction(5)})
         with pytest.raises(InputError):
             extend_upper(TRI, partial)
         with pytest.raises(InputError):
@@ -132,7 +132,7 @@ class TestExtensions:
         # (0, b) and (a, b) both break f; the mismatch is at b for the upper
         # extension and at 0 for the lower one, and both name (0, b)
         values = {0: Fraction(0), A: Fraction(1), B: Fraction(7, 2)}
-        partial = PartialFunction(domain=(0, A, B), values=values)
+        partial = PartialFunction(values)
         with pytest.raises(InputError) as raised:
             extend(TRI, partial)
         assert str(raised.value) == (
@@ -144,7 +144,7 @@ class TestExtensions:
         # while N = {0} has no pair to name
         one = Fraction(1)
         bent = FiniteMetricSpace(labels=("0", "a"), base=0, dist=((one, one), (one, Fraction(0))))
-        partial = PartialFunction(domain=(0,), values={0: Fraction(0)})
+        partial = PartialFunction({0: Fraction(0)})
         with pytest.raises(CertificateMismatchError, match="differs from f on N"):
             extend(bent, partial)
 
@@ -223,7 +223,7 @@ class TestVerifyNorming:
 @pytest.mark.parametrize("extend", [extend_upper, extend_lower])
 def test_extension_of_an_empty_domain_rejected(extend):
     with pytest.raises(InputError, match="cannot extend a partial function with empty domain"):
-        extend(TRI, PartialFunction(domain=(), values={}))
+        extend(TRI, PartialFunction({}))
 
 
 @pytest.mark.parametrize("values", [

@@ -14,9 +14,10 @@ def library_example() -> str:
 
 def test_library_example_prints_the_values_in_its_comments(capsys):
     code = library_example()
-    # each print's comment starts with the value, up to a colon, comma or space
-    stated = [re.match(r"[^\s:,]+", line.split("# ", 1)[1]).group()
+    # each print's comment starts with the value, up to a colon and a space
+    stated = [line.split("# ", 1)[1].split(": ", 1)[0]
               for line in code.splitlines() if line.startswith("print(")]
-    assert stated == ["VerdictKind.NOT_GATEAUX", "Uncovered(point=2)", "1"]
+    assert stated == ["VerdictKind.NOT_GATEAUX",
+                      "Uncovered(point=2, extension_gap=Fraction(1, 1))", "1"]
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
     assert capsys.readouterr().out.splitlines() == stated
