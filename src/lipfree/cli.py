@@ -8,8 +8,10 @@ negative verdict. Re-verified from the raw inputs before printing: the
 reports of ``norm``, ``attains``, ``decompose`` and ``decide``, the verdict
 that ``stability`` builds on (its bound is read off the raw distances),
 ``norming``'s values on N and its two extensions, and every
-negative-cycle witness, on the pairs it is printed with. Not yet
-re-verified: the table ``potentials`` prints, the reports of
+negative-cycle witness, on the pairs it is printed with. The values on N
+of the family's norming function are re-checked behind ``decide``,
+``gateaux-eps``, ``coverage-prefix`` and ``stability`` too. Not yet
+re-verified: the table ``potentials`` prints, the rest of the reports of
 ``gateaux-eps`` and ``coverage-prefix``, and an isometric ``l1-check``.
 
 Each ``cmd_*`` handler returns ``(exit code, report)``; ``main`` alone prints
@@ -381,13 +383,13 @@ def cmd_stability(args) -> tuple[int, dict]:
     if args.eps is not None and args.function is None:
         raise InputError("--eps requires --function")
     space, system = _load_system(args)
-    verdict = frechet_verdict(space, system)
     if args.function is None:
+        frechet_verdict(space, system)
         verified, bound = None, stability_bound(space, system)
     else:
         g = load_function_doc(space, _read_json(args.function))
         eps = parse_rational(args.eps, "eps")
-        verified, bound = stability_holds(space, system, verdict.norming, g, eps)
+        verified, bound = stability_holds(space, system, g, eps)
     report = {
         "theta": render_rational(bound.theta),
         "diameter": render_rational(bound.D),

@@ -159,12 +159,20 @@ def _coverage(d, slacks, points, e):
             yield (p, *best)
 
 
-def _solve(space: FiniteMetricSpace, system: MoleculeSystem, eps=0):
-    """The family's table, f on N and ``_function_slacks``; NotAttainingError if none."""
-    table = closure(beta_matrix(space, system.pairs))
+def _on_N(space: FiniteMetricSpace, pairs: Sequence[Pair]):
+    """The family's table and f on N, which the one solve of a family re-checks
+    by ``recheck_on_N``; NotAttainingError with the witness on a negative cycle."""
+    table = closure(beta_matrix(space, pairs))
     if isinstance(table, NegativeCycleWitness):
         raise NotAttainingError(table)
-    partial = build_on_N(space, system.pairs, table)
+    partial = build_on_N(space, pairs, table)
+    recheck_on_N(space, pairs, partial.values)
+    return table, partial
+
+
+def _solve(space: FiniteMetricSpace, system: MoleculeSystem, eps=0):
+    """``_on_N``'s table and f on N, and ``_function_slacks``."""
+    table, partial = _on_N(space, system.pairs)
     return table, partial, _function_slacks(space, partial, eps)
 
 
@@ -335,21 +343,17 @@ def verify_stability(
     d(x, y) - (g(x) - g(y)) is below eps * d(x, y), which the n^2 * D
     factor of K needs.
     """
-    holds, _ = stability_holds(space, system, frechet_verdict(space, system).norming, g, eps)
-    return holds
+    return stability_holds(space, system, g, eps)[0]
 
 
 def stability_holds(
-    space: FiniteMetricSpace, system: MoleculeSystem, f: LipschitzFunction,
-    g: LipschitzFunction, eps,
+    space: FiniteMetricSpace, system: MoleculeSystem, g: LipschitzFunction, eps
 ) -> tuple[bool, StabilityBound]:
-    """``verify_stability`` given the family's norming function f, with the
-    family's bound, worked out here once the inputs pass, for the caller to
-    report."""
+    """``verify_stability`` with the family's bound, worked out here once the
+    inputs pass, for the caller to report. The norming function f is the one
+    of ``frechet_verdict``, re-checked before it is read."""
+    f = frechet_verdict(space, system).norming
     eps = positive_eps(eps)
-    if len(f.values) != len(space) or not all(map(is_exact, f.values)):
-        raise InputError(
-            "norming function must assign a value to every point, each an int or a Fraction")
     lip = lipschitz_constant(space, g.values)
     if lip > 1:
         raise InputError(f"candidate function has Lipschitz constant {exact(lip)} > 1")
@@ -396,7 +400,6 @@ def recheck_verdict(
     coverage entry that is no tuple of two point indices, before either is read.
     """
     pairs = system.pairs
-    beta = beta_matrix(space, pairs)
     if verdict.kind is VerdictKind.FRECHET:
         f = verdict.norming
         cov = verdict.coverage
@@ -414,7 +417,7 @@ def recheck_verdict(
             raise CertificateMismatchError("norming function must vanish at base")
         if any(f.values[x] - f.values[y] != space.d(x, y) for x, y in pairs):
             raise CertificateMismatchError("function does not norm every molecule")
-        rigid = tight_rigid_pairs(beta.beta, [f.values[y] for _, y in pairs])
+        rigid = tight_rigid_pairs(beta_matrix(space, pairs).beta, [f.values[y] for _, y in pairs])
         if len(rigid) != len(pairs) * (len(pairs) - 1) // 2:
             raise CertificateMismatchError("norming function is not unique on N")
         if set(cov) != set(space.points()):
@@ -430,7 +433,7 @@ def recheck_verdict(
         raise CertificateMismatchError("failed verdict carries Frechet certificates")
     failure = verdict.failure
     if isinstance(failure, NotAttaining):
-        recheck_witness(beta, failure.witness)
+        recheck_witness(beta_matrix(space, pairs), failure.witness)
         return
     if not isinstance(failure, (NonUniqueOnN, Uncovered)):
         raise CertificateMismatchError("verdict carries no failure object")
@@ -443,13 +446,13 @@ def recheck_verdict(
             and len(set(named)) == count):
         raise CertificateMismatchError(
             f"{failure}: indices must be {count} distinct ints in range({bound})")
-    table = closure(beta)
-    if isinstance(table, NegativeCycleWitness):
-        raise CertificateMismatchError(f"{failure} claimed on a negative cycle")
-    f = build_on_N(space, pairs, table).values
-    recheck_on_N(space, pairs, f)
+    try:
+        table, partial = _on_N(space, pairs)
+    except NotAttainingError:
+        raise CertificateMismatchError(f"{failure} claimed on a negative cycle") from None
+    f = partial.values
     if isinstance(failure, NonUniqueOnN):
-        if tuple(sorted(failure.pair)) in tight_rigid_pairs(beta.beta, [f[y] for _, y in pairs]):
+        if tuple(sorted(failure.pair)) in tight_rigid_pairs(table.beta, [f[y] for _, y in pairs]):
             raise CertificateMismatchError(f"pair {failure.pair} is actually rigid")
         return
     p = failure.point

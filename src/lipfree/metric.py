@@ -147,17 +147,31 @@ class FiniteMetricSpace(Record):
         except ValueError:
             raise InputError(f"unknown point label {label!r}") from None
 
+    @cached_property
+    def _extent(self) -> tuple[tuple[int, int] | None, tuple[int, int]]:
+        """The least off-diagonal entry (None on one point) and the largest entry
+        of the raw ``dist``, not ``scaled``, so that no scaling fault reaches them:
+        ``as_integer_ratio()`` pairs, found by one pass that cross-multiplies them."""
+        low, top = None, self.dist[0][0].as_integer_ratio()
+        for i, row in enumerate(self.dist):
+            for j, x in enumerate(row):
+                n, d = x.as_integer_ratio()
+                if n * top[1] > top[0] * d:
+                    top = n, d
+                if j != i and (low is None or n * low[1] < low[0] * d):
+                    low = n, d
+        return low, top
+
     def theta(self) -> Fraction:
-        """Minimal off-diagonal distance, read off the raw ``dist`` (not
-        ``scaled``, so that no scaling fault reaches it); requires at least
-        two points."""
+        """Minimal off-diagonal distance, read off the raw ``dist``; requires
+        at least two points."""
         if len(self.labels) < 2:
             raise InputError("theta requires a space with at least 2 points")
-        return Fraction(min(min(row[:i] + row[i + 1:]) for i, row in enumerate(self.dist)))
+        return Fraction(*self._extent[0])
 
     def diameter(self) -> Fraction:
         """Maximal distance, read off the raw ``dist``; 0 on a single point."""
-        return Fraction(max(map(max, self.dist)))
+        return Fraction(*self._extent[1])
 
 
 def validate_space(

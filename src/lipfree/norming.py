@@ -89,11 +89,21 @@ def recheck_on_N(
     space: FiniteMetricSpace, pairs: Sequence[Pair], values: dict[int, Fraction]
 ) -> None:
     """CertificateMismatchError unless f on N, in raw Fractions, norms every
-    pair, f(x) - f(y) = d(x, y), and is 1-Lipschitz on N."""
+    pair, f(x) - f(y) = d(x, y), and is 1-Lipschitz on N.
+
+    With f(a) = p/q, f(b) = r/s and d(a, b) = u/v, the Lipschitz test
+    |p s - r q| v > u q s cross-multiplies raw numerators and denominators,
+    as ``lipschitz_constant`` does, and builds no Fraction.
+    """
     if any(values[x] - values[y] != space.d(x, y) for x, y in pairs):
         raise CertificateMismatchError("f on N does not norm every molecule")
-    if any(abs(values[a] - values[b]) > space.d(a, b) for a in values for b in values if a < b):
-        raise CertificateMismatchError("f on N is not 1-Lipschitz")
+    raw = [(a, v.numerator, v.denominator) for a, v in sorted(values.items())]
+    for i, (a, p, q) in enumerate(raw):
+        row = space.dist[a]
+        for b, r, s in raw[i + 1:]:
+            u, v = row[b].as_integer_ratio()
+            if abs(p * s - r * q) * v > u * q * s:
+                raise CertificateMismatchError("f on N is not 1-Lipschitz")
 
 
 def build_on_N(

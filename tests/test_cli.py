@@ -18,7 +18,7 @@ import lipfree.generators as generators
 from lipfree import build_space, build_system, closure, differentiability, make_function
 from lipfree import attains, potentials
 from lipfree import verify_norming
-from lipfree.errors import LipfreeError
+from lipfree.errors import CertificateMismatchError, LipfreeError
 from lipfree.molecules import BetaMatrix
 from lipfree.norming import PartialFunction, build_on_N, extend_upper
 from lipfree.potentials import NegativeCycleWitness, recheck_witness
@@ -691,17 +691,38 @@ class TestInternalFaults:
             assert out == ""
             assert "internal error" in err
 
+    @pytest.mark.parametrize("command", [
+        ["norming"], ["decide"], ["stability"],
+        ["gateaux-eps", "--eps", "1/2"], ["coverage-prefix", "--eps", "1/2"],
+    ], ids=lambda command: command[0])
     def test_norming_values_on_N_that_are_not_1_lipschitz_are_exit_three(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, monkeypatch, tmp_path, command
     ):
-        """A faulty solve of f on N is caught before the extensions read it as input."""
+        """A faulty solve of f on N is caught before the extensions or the
+        coverage scan read it: ``decide`` and ``stability`` exited 2 on it,
+        and ``gateaux-eps`` and ``coverage-prefix`` reported on it with exit 0."""
         system = tmp_path / "sys.json"
-        system.write_text(json.dumps({"pairs": [["1", "0"], ["3", "2"]], "weights": [1, 1]}))
+        system.write_text(json.dumps({"pairs": [["1", "0"], ["3", "2"]],
+                                      "weights": ["1/2", "1/2"]}))
         monkeypatch.setattr(potentials.PotentialTable, "alphas", (0, 7))
-        code, out, err = run(capsys, "norming", "--space", str(INPUTS / "star3.json"),
-                             "--system", str(system))
+        name, *extra = command
+        code, out, err = run(capsys, name, "--space", str(INPUTS / "star3.json"),
+                             "--system", str(system), *extra)
         assert (code, out) == (3, "")
         assert err == "lipfree: certificate mismatch: f on N is not 1-Lipschitz\n"
+
+    @pytest.mark.parametrize("call", [
+        lambda space, system: differentiability.decide(space, system),
+        lambda space, system: differentiability.check_gateaux_eps(space, system, Fraction(1, 2)),
+        lambda space, system: differentiability.coverage_eps_prefix(space, system, Fraction(1, 2)),
+        lambda space, system: differentiability.min_coverage_slack(space, system, 0),
+    ], ids=["decide", "check_gateaux_eps", "coverage_eps_prefix", "min_coverage_slack"])
+    def test_library_refuses_f_on_N_that_is_not_1_lipschitz(self, monkeypatch, call):
+        star = generators.gen_star(3)
+        system = build_system(star, [(1, 0), (3, 2)], [Fraction(1, 2)] * 2)
+        monkeypatch.setattr(potentials.PotentialTable, "alphas", (0, 7))
+        with pytest.raises(CertificateMismatchError, match="^f on N is not 1-Lipschitz$"):
+            call(star, system)
 
     @pytest.mark.parametrize("eps", ["1_0", "1/0_2", " 7 ", "+3", "٣"])
     def test_loose_rational_is_exit_two(self, capsys, docs, eps):

@@ -733,18 +733,21 @@ class TestStability:
         f = decide(star, system).norming
         g = f.replace(values=resize(f.values))
         with pytest.raises(InputError, match="must assign a value to every point"):
-            differentiability.stability_holds(star, system, f, g, Fraction(1, 16))
+            differentiability.stability_holds(star, system, g, Fraction(1, 16))
 
     @pytest.mark.parametrize("resize", [lambda v: v + (Fraction(100),), lambda v: v[:-1]],
                              ids=["too-long", "too-short"])
-    def test_norming_function_of_the_wrong_length_rejected(self, resize):
-        # read unchecked, a short f raised IndexError and a long one passed
+    def test_norming_function_of_the_wrong_length_rejected(self, resize, monkeypatch):
+        # read unchecked, a short f raised IndexError and a long one passed;
+        # f is the family's own, so a wrong length is a fault of decide
         star = gen_star(3)
         system = build_system(star, [(p, 0) for p in range(1, 4)], [Fraction(1, 3)] * 3)
-        g = decide(star, system).norming
-        f = g.replace(values=resize(g.values))
-        with pytest.raises(InputError, match="must assign a value to every point"):
-            differentiability.stability_holds(star, system, f, g, Fraction(1, 16))
+        verdict = decide(star, system)
+        g = verdict.norming
+        forged = verdict.replace(norming=g.replace(values=resize(g.values)))
+        monkeypatch.setattr(differentiability, "decide", lambda space, system: forged)
+        with pytest.raises(CertificateMismatchError, match="must have one value per point"):
+            differentiability.stability_holds(star, system, g, Fraction(1, 16))
 
     def test_non_frechet_rejected(self):
         space, system = uncovered_fixture()

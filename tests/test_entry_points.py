@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lipfree import (
+    CertificateMismatchError,
     InputError,
     MoleculeSystem,
     PointMassElement,
@@ -33,6 +34,7 @@ from lipfree import (
     segment_eps,
     validate_space,
 )
+from lipfree import differentiability
 from lipfree.differentiability import stability_holds
 from lipfree.metric import is_index
 from lipfree.serialization import load_element_doc, load_function_doc
@@ -124,12 +126,15 @@ def test_lipschitz_constant_takes_exact_values_only(values):
         lipschitz_constant(STAR, values)
 
 
-def test_stability_refuses_a_norming_function_of_floats():
+def test_stability_refuses_a_norming_function_of_floats(monkeypatch):
+    """f is the family's own, so a float in it is a fault of ``decide``."""
     system = build_system(STAR, [(p, 0) for p in (1, 2, 3)], [Fraction(1, 3)] * 3)
-    g = decide(STAR, system).norming
-    f = g.replace(values=(0, 1.0, 1.0, 0.99))
-    with pytest.raises(InputError, match="each an int or a Fraction"):
-        stability_holds(STAR, system, f, g, Fraction(1, 16))
+    verdict = decide(STAR, system)
+    g = verdict.norming
+    forged = verdict.replace(norming=g.replace(values=(0, 1.0, 1.0, 0.99)))
+    monkeypatch.setattr(differentiability, "decide", lambda space, system: forged)
+    with pytest.raises(CertificateMismatchError, match="each an int or a Fraction"):
+        stability_holds(STAR, system, g, Fraction(1, 16))
 
 
 def test_decide_takes_exact_weights_only():

@@ -14,7 +14,11 @@ A third scan keeps the re-checks apart from the integer form the verdicts
 are found on: no body of ``RECHECKS`` reads a ``.scaled`` attribute or calls
 a routine of ``INTEGER_FORM``, so a scaling bug cannot confirm itself. The
 stability bound, printed after the re-check of its verdict, is held to the
-same rule.
+same rule, and so is ``differentiability._on_N``, the one solve of f on N,
+which ``recheck_verdict`` calls.
+
+A fourth scan keeps that solve in one copy: ``differentiability.py`` calls
+``build_on_N`` in exactly one place.
 """
 
 import ast
@@ -102,7 +106,8 @@ def test_no_int_coercion_outside_the_text_readers(path):
 
 
 RECHECKS = ("recheck_certificate", "recheck_witness", "recheck_verdict",
-            "recheck_function", "recheck_on_N", "lipschitz_constant", "stability_bound")
+            "recheck_function", "recheck_on_N", "lipschitz_constant", "stability_bound",
+            "_on_N")
 INTEGER_FORM = ("common_scale", "scale_to_integers", "_function_slacks", "_coverage",
                 "min_coverage_slack")
 
@@ -145,3 +150,24 @@ def test_rechecks_never_read_the_integer_form():
     for path in sorted(SRC.glob("*.py")):
         found.update(integer_form_reads(path.read_text(encoding="utf-8")))
     assert found == {name: [] for name in RECHECKS}
+
+
+def calls_of(source: str, name: str) -> list[int]:
+    """The lines that call ``name``, as a bare name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def test_scan_finds_calls():
+    source = (
+        "build_on_N(space, pairs, table)\n"
+        "f = norming.build_on_N\n"
+        "g = lambda: norming.build_on_N(space, pairs, table).values\n"
+    )
+    assert calls_of(source, "build_on_N") == [1, 3]
+
+
+def test_f_on_N_is_built_in_one_place():
+    source = (SRC / "differentiability.py").read_text(encoding="utf-8")
+    assert len(calls_of(source, "build_on_N")) == 1

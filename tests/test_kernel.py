@@ -15,9 +15,11 @@ and must close exactly as the same submatrix built afresh.
 Each space has one integer form, ``space.scaled``. Validation, the
 Lipschitz constant (which cross-multiplies the raw Fractions instead), both
 extensions and the coverage slacks are compared with Fraction references on
-values and eps whose denominators do not divide the space's. Corrupting one
-entry of ``space.scaled`` must never yield a wrong norm or a wrong Frechet
-verdict that passes its re-check, and the re-checks must not read it.
+values and eps whose denominators do not divide the space's, and so is the
+cross-multiplied test of ``recheck_on_N`` on spaces of up to 64 points.
+Corrupting one entry of ``space.scaled`` must never yield a wrong norm or a
+wrong Frechet verdict that passes its re-check, and the re-checks must not
+read it.
 
 The flow's Dijkstra search relaxes forward arcs only from the source and
 from points entered by a reverse arc, and stops at the first deficit point
@@ -513,6 +515,15 @@ def reference_lipschitz(space, values):
                 for p in range(n) for q in range(p + 1, n)), default=Fraction(0))
 
 
+def reference_recheck_on_N(space, pairs, values):
+    """``recheck_on_N``'s message, worked out in Fraction arithmetic, or None."""
+    if any(values[x] - values[y] != space.d(x, y) for x, y in pairs):
+        return "f on N does not norm every molecule"
+    if any(abs(values[a] - values[b]) > space.d(a, b) for a in values for b in values if a < b):
+        return "f on N is not 1-Lipschitz"
+    return None
+
+
 def reference_extension(space, partial, upper):
     """The extension's values, or the first pair breaking 1-Lipschitz on N."""
     dom, f = partial.domain, partial.values
@@ -606,6 +617,60 @@ def test_lipschitz_constant_matches_fraction_reference(space, data):
     values = [data.draw(st.one_of(rationals, st.sampled_from([0, 1, Fraction(1, 3)])))
               for _ in space.points()]
     assert lipschitz_constant(space, values) == reference_lipschitz(space, values)
+
+
+@st.composite
+def maps_on_N(draw):
+    """A space of 2-64 points, a value map on a subset N and at most one pair of N.
+
+    Distances lie in [1, 2], so the matrix is a metric and the space is built
+    without validation, whose lcm of up to 2016 denominators of up to 10**6
+    would dominate the test. The map is t * d(a, .) + c, 1-Lipschitz for t
+    in [0, 1] and, for t = 1, equal to d on every pair (p, a); that map with
+    one value moved by a small rational; or free values, ints among them.
+    A cone may come with a pair (p, a) or (a, p); the first norms it for t = 1.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 64))
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = rng.choice([1, 2, 3, rng.randint(1, 10**6)])
+            dist[i][j] = dist[j][i] = 1 + Fraction(rng.randint(0, q), q)
+    space = FiniteMetricSpace(labels=tuple(map(str, range(n))), base=0,
+                              dist=tuple(map(tuple, dist)))
+    domain = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    kind = draw(st.sampled_from(["cone", "nudged", "free"]))
+    a = draw(st.sampled_from(domain))
+    if kind == "free":
+        free = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(10**6 // 2, 10**6))
+        values = {p: draw(st.one_of(st.integers(-2, 2), unit_rationals, free)) for p in domain}
+    else:
+        t = draw(st.one_of(st.just(1), unit_rationals)) if kind == "cone" else 1
+        c = draw(rationals)
+        values = {p: t * space.d(a, p) + c for p in domain}
+        if kind == "nudged":
+            nudge = st.builds(Fraction, st.sampled_from([-1, 1]), st.integers(1, 10**6))
+            values[draw(st.sampled_from(domain))] += draw(nudge)
+    pairs = []
+    if len(domain) > 1 and kind == "cone" and draw(st.booleans()):
+        p = draw(st.sampled_from([q for q in domain if q != a]))
+        pairs.append(draw(st.sampled_from([(p, a), (a, p)])))
+    return space, pairs, values
+
+
+@SETTINGS
+@given(maps_on_N())
+def test_recheck_on_N_matches_fraction_reference(case):
+    """The cross-multiplied Lipschitz test refuses exactly the maps that the
+    Fraction expression refuses, with the same message."""
+    space, pairs, values = case
+    message = reference_recheck_on_N(space, pairs, values)
+    if message is None:
+        recheck_on_N(space, pairs, values)
+    else:
+        with pytest.raises(CertificateMismatchError, match=f"^{re.escape(message)}$"):
+            recheck_on_N(space, pairs, values)
 
 
 @SETTINGS

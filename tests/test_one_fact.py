@@ -38,7 +38,7 @@ from lipfree import (
     stability_bound,
     validate_space,
 )
-from lipfree import metric
+from lipfree import differentiability, metric
 from lipfree.differentiability import stability_holds
 
 TRI = build_space(["0", "a", "b"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]], "0")
@@ -66,16 +66,16 @@ def test_fields_are_the_settable_values():
     lambda: StabilityBound(theta=Fraction(1), D=Fraction(2), n=3, K=Fraction(90)),
     lambda: ValidationReport(ok=True, violations=(), theta=None, diameter=Fraction(0)),
     lambda: validate_space(["0", "1"], [[0, 1], [1, 0]], "0", max_violations=10),
-    lambda: stability_holds(STAR, STAR_FAMILY, decide(STAR, STAR_FAMILY).norming,
-                            stability_bound(STAR, STAR_FAMILY), make_function(STAR, [0] * 4),
-                            Fraction(1, 16)),
-    lambda: stability_holds(STAR, STAR_FAMILY, decide(STAR, STAR_FAMILY).norming,
-                            make_function(STAR, [0] * 4), Fraction(1, 16),
+    lambda: stability_holds(STAR, STAR_FAMILY, stability_bound(STAR, STAR_FAMILY),
+                            make_function(STAR, [0] * 4), Fraction(1, 16)),
+    lambda: stability_holds(STAR, STAR_FAMILY, make_function(STAR, [0] * 4), Fraction(1, 16),
                             bound=stability_bound(STAR, STAR_FAMILY)),
+    lambda: stability_holds(STAR, STAR_FAMILY, decide(STAR, STAR_FAMILY).norming,
+                            make_function(STAR, [0] * 4), Fraction(1, 16)),
 ], ids=["DiffVerdict-extension_gap", "DiffVerdict-replace-extension_gap",
         "PartialFunction-domain", "MonotonicityVerdict-holds", "L1Verdict-isometric",
         "StabilityBound-K", "ValidationReport-ok", "validate_space-max_violations",
-        "stability_holds-bound", "stability_holds-bound-keyword"])
+        "stability_holds-bound", "stability_holds-bound-keyword", "stability_holds-f"])
 def test_removed_keyword_raises_type_error(build):
     with pytest.raises(TypeError):
         build()
@@ -121,16 +121,20 @@ def test_validation_ok_is_no_violation(monkeypatch):
     assert len(validate_space([str(i) for i in range(n)], dist, "0").violations) > 100
 
 
-@pytest.mark.parametrize("f_values, g_values, holds", [
-    ((0, 1, 1, 1), (0, 1, 1, 1 - Fraction(1, 10**4)), True),
-    ((0, 1, 1, 1), (0, 1, 1, Fraction(1, 2)), True),
-    ((0, 1, 1, 0), (0, 1, 1, 1), False),
+@pytest.mark.parametrize("g_values, D, holds", [
+    ((0, 1, 1, 1 - Fraction(1, 10**4)), None, True),
+    ((0, 1, 1, Fraction(1, 2)), None, True),
+    ((0, 1, 1, 1 - Fraction(1, 10**4)), Fraction(1, 10**9), False),
 ], ids=["within-bound", "hypothesis-fails", "outside-bound"])
-def test_stability_holds_returns_the_family_bound(f_values, g_values, holds):
+def test_stability_holds_returns_the_family_bound(g_values, D, holds, monkeypatch):
     """The one bound that ``stability_holds`` works out is the family's, on
     the vacuous path too, so a caller reports it without building another.
-    The last f is no norming function, so its distance to g exceeds K * eps."""
+    The last runs under a forged bound of diameter ``D``, whose K * eps lies
+    below g's distance to the norming function f."""
     assert decide(STAR, STAR_FAMILY).norming.values == (0, 1, 1, 1)
-    f, g = make_function(STAR, f_values), make_function(STAR, g_values)
-    assert stability_holds(STAR, STAR_FAMILY, f, g, Fraction(1, 1000)) == (
-        holds, stability_bound(STAR, STAR_FAMILY))
+    if D is not None:
+        forged = StabilityBound(theta=Fraction(1), D=D, n=3)
+        monkeypatch.setattr(differentiability, "stability_bound", lambda space, system: forged)
+    g = make_function(STAR, g_values)
+    assert stability_holds(STAR, STAR_FAMILY, g, Fraction(1, 1000)) == (
+        holds, differentiability.stability_bound(STAR, STAR_FAMILY))
